@@ -45,7 +45,7 @@ from .morse import (
     morse_index,
     uk_profile,
 )
-from .rationals import Rational, jsonable, parse_rat, rat, rat_str
+from .rationals import Rational, jsonable, parse_rat, rat_str
 from .triples import (
     AlphaInterval,
     BaseFactor,
@@ -138,7 +138,6 @@ __all__ = [
     "mw_relations",
     "omega_membership",
     "parse_rat",
-    "rat",
     "rat_str",
     "rigidity",
     "slope",

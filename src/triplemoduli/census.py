@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .rationals import Rational
 
 
@@ -73,16 +73,17 @@ class CoprimePartition:
 
 
 def _check_pqg(p: int, q: int, g: int) -> None:
-    for name, value in (("p", p), ("q", q)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise DomainError("%s must be an integer >= 1" % name)
-    if not isinstance(g, int) or isinstance(g, bool) or g < 2:
-        raise DomainError("genus must be an integer >= 2")
+    require_int("p", p, 1)
+    require_int("q", q, 1)
+    require_int("genus", g, 2)
 
 
-def _member_ordered(p: int, q: int, g: int, a: int, b: int) -> bool:
-    """Membership test in the distinguished fundamental region, valid
-    for p <= q."""
+def _member(p: int, q: int, g: int, a: int, b: int) -> bool:
+    """Membership test in the distinguished fundamental region, without
+    input checks. Ranks with p > q use the swapped test, matching the
+    symmetry (p, q, a, b) -> (q, p, b, a) of the class structure."""
+    if p > q:
+        p, q, a, b = q, p, b, a
     bound = (p + q) * p * (g - 1)
     if abs(a * q - b * p) > bound:
         return False
@@ -101,18 +102,12 @@ def omega_membership(p: int, q: int, g: int, a: int, b: int) -> bool:
 
     The region is cut out by the Toledo bound together with half-open
     strip conditions chosen so each translation class (a + lp, b + lq)
-    meets it exactly once. Ranks with p > q delegate to the swapped
-    test, matching the symmetry (p, q, a, b) -> (q, p, b, a) of the
-    class structure.
+    meets it exactly once.
     """
     _check_pqg(p, q, g)
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise DomainError("a must be an integer")
-    if not isinstance(b, int) or isinstance(b, bool):
-        raise DomainError("b must be an integer")
-    if p <= q:
-        return _member_ordered(p, q, g, a, b)
-    return _member_ordered(q, p, g, b, a)
+    require_int("a", a)
+    require_int("b", b)
+    return _member(p, q, g, a, b)
 
 
 def canonicalize(p: int, q: int, g: int, a: int, b: int) -> ClassPair:
@@ -123,10 +118,8 @@ def canonicalize(p: int, q: int, g: int, a: int, b: int) -> ClassPair:
     bound is translation-invariant, so no representative exists).
     """
     _check_pqg(p, q, g)
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise DomainError("a must be an integer")
-    if not isinstance(b, int) or isinstance(b, bool):
-        raise DomainError("b must be an integer")
+    require_int("a", a)
+    require_int("b", b)
     bound = (p + q) * min(p, q) * (g - 1)
     if abs(a * q - b * p) > bound:
         raise DomainError(
@@ -141,7 +134,7 @@ def canonicalize(p: int, q: int, g: int, a: int, b: int) -> ClassPair:
     hits = [
         (a + l * p, b + l * q)
         for l in range(lo, hi + 1)
-        if omega_membership(p, q, g, a + l * p, b + l * q)
+        if _member(p, q, g, a + l * p, b + l * q)
     ]
     if len(hits) != 1:
         raise AssertionError(
@@ -164,7 +157,7 @@ def enumerate_region(p: int, q: int, g: int) -> CensusReport:
     points = []
     for a in range(-bound, p + 1):
         for b in range(-bound, q + 1):
-            if omega_membership(p, q, g, a, b):
+            if _member(p, q, g, a, b):
                 points.append(ClassPair(a, b, canonical=True))
     points.sort(key=lambda cp: (cp.a, cp.b))
     n = p + q
@@ -202,9 +195,8 @@ def tau_quotient_facts(p: int, q: int) -> TauQuotientFacts:
     2 gcd(p,q) / (p+q), and classes with equal tau form cosets of the
     order-gcd(p,q) subgroup generated by the class of (p/k, q/k).
     """
-    for name, value in (("p", p), ("q", q)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise DomainError("%s must be an integer >= 1" % name)
+    require_int("p", p, 1)
+    require_int("q", q, 1)
     k = math.gcd(p, q)
     return TauQuotientFacts(
         k=k,

@@ -20,7 +20,6 @@ fibres. No smoothness claim is ever made for R.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -106,11 +105,8 @@ def classify(H: HiggsType) -> Verdict:
     rigidity case (stable locus empty, the space is a product of
     smaller moduli, yet still connected).
     """
-    tau = toledo(H).tau
-    tau_max = min(H.p, H.q) * (2 * H.g - 2)
-    abs_tau = abs(tau)
-    in_range = abs_tau <= tau_max
-    saturated = abs_tau == tau_max
+    t = toledo(H)
+    tau, in_range, saturated = t.tau, t.within_bound, t.saturated
     coprime = coprime_smooth(H)
     citations: dict[str, str] = {}
     warnings: tuple[str, ...] = ()
@@ -155,7 +151,7 @@ def classify(H: HiggsType) -> Verdict:
         if coprime:
             full_connected = YES
             citations["full_space_connected"] = TAG_COPRIME
-        elif H.p == H.q and (H.p - 1) * (2 * H.g - 2) < abs_tau:
+        elif H.p == H.q and (H.p - 1) * (2 * H.g - 2) < abs(tau):
             full_connected = YES
             citations["full_space_connected"] = TAG_EQ_RANK_WINDOW
         else:
@@ -224,7 +220,7 @@ def classify(H: HiggsType) -> Verdict:
     return Verdict(
         higgs=H,
         tau=tau,
-        tau_max=tau_max,
+        tau_max=t.tau_M,
         in_range=in_range,
         saturated=saturated,
         coprime=coprime,
@@ -242,22 +238,3 @@ def classify(H: HiggsType) -> Verdict:
         warnings=warnings,
     )
 
-
-def tau_orbit_samples(H: HiggsType, shifts: tuple[int, ...]) -> list[HiggsType]:
-    """Translates (a + lp, b + lq) of the input over the given shifts.
-
-    All of them classify identically apart from the echoed (a, b) and
-    the representative-dependent rigidity factor degrees; useful for
-    invariance testing.
-    """
-    return [
-        HiggsType(H.p, H.q, H.a + l * H.p, H.b + l * H.q, H.g)
-        for l in shifts
-    ]
-
-
-def coprime_class_invariant(p: int, q: int, a: int, b: int) -> bool:
-    """gcd(p+q, a+b) = 1, stated on pairs; invariant under the
-    translation (a, b) -> (a + lp, b + lq) since a + b moves by
-    l(p + q)."""
-    return math.gcd(p + q, a + b) == 1

@@ -14,17 +14,17 @@ precondition), 2 usage error (unknown flags, malformed values).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from .census import canonicalize, coprime_partition, enumerate_region, tau_quotient_facts
-from .classify import SubspaceVerdict, Verdict, classify
+from .classify import classify
 from .errors import DomainError
 from .higgs import (
     HiggsType,
-    RigidityReport,
     coprime_smooth,
     expected_dim,
     minima_triple_type,
@@ -65,72 +65,47 @@ def _int_list(text: str) -> tuple[int, ...]:
         )
 
 
-def _ext(x):
-    """Wire form of an extended rational: None marks +infinity."""
-    return "inf" if x is None else x
+# The report keys that differ from their dataclass field names.
+_RENAMES = {"tau_M": "tau_max", "case_tag": "case"}
 
 
-def _triple_wire(T: TripleType) -> dict:
-    return {"n1": T.n1, "n2": T.n2, "d1": T.d1, "d2": T.d2}
+def _wire(obj, drop=()) -> dict:
+    """Report form of a dataclass: its fields in declaration order, with
+    nested dataclasses, alone or in tuples, expanded the same way.
 
-
-def _higgs_wire(H: HiggsType) -> dict:
-    return {"p": H.p, "q": H.q, "a": H.a, "b": H.b, "g": H.g}
-
-
-def _rigidity_wire(rep: RigidityReport) -> dict:
-    return {
-        "applies": rep.applies,
-        "reason": rep.reason,
-        "factor1": _higgs_wire(rep.factor1) if rep.factor1 else None,
-        "factor2_rank": rep.factor2_rank,
-        "factor2_degree": rep.factor2_degree,
-        "dim_sum": rep.dim_sum,
-        "dim_sum_closed_form": rep.dim_sum_closed_form,
-        "expected_dim": rep.expected_dim,
-        "below_expected": rep.below_expected,
-    }
-
-
-def _subspace_wire(v: SubspaceVerdict) -> dict:
-    return {
-        "nonempty": v.nonempty,
-        "connected": v.connected,
-        "stable_nonempty": v.stable_nonempty,
-        "closure_of_stable_connected": v.closure_of_stable_connected,
-        "smooth_of_expected_dim": v.smooth_of_expected_dim,
-    }
+    Fields named in ``drop`` are left out at every depth, and keys follow
+    ``_RENAMES``. None in a field named hi or alpha_M is an unbounded
+    range endpoint and is written "inf"; any other None stays null.
+    """
+    out = {}
+    for f in dataclasses.fields(obj):
+        if f.name in drop:
+            continue
+        value = getattr(obj, f.name)
+        if value is None and f.name in ("hi", "alpha_M"):
+            value = "inf"
+        elif dataclasses.is_dataclass(value):
+            value = _wire(value, drop)
+        elif isinstance(value, tuple) and value and dataclasses.is_dataclass(value[0]):
+            value = [_wire(v, drop) for v in value]
+        out[_RENAMES.get(f.name, f.name)] = value
+    return out
 
 
 def _cmd_triple(args) -> tuple[dict, dict, list]:
     T = TripleType(args.n1, args.n2, args.d1, args.d2)
-    warnings: list[str] = []
+    # alpha_range refuses a zero rank before the slopes divide by it
     rng = alpha_range(T)
+    warnings: list[str] = []
     outputs: dict = {
-        "type": _triple_wire(T),
+        "type": _wire(T),
         "mu1": Fraction(T.d1, T.n1),
         "mu2": Fraction(T.d2, T.n2),
         "slope": triple_slope(T),
-        "alpha_range": {
-            "lo": rng.lo,
-            "hi": _ext(rng.hi),
-            "empty": rng.empty,
-            "single_point": rng.single_point,
-        },
+        "alpha_range": _wire(rng),
     }
     try:
-        th = thresholds(T)
-        outputs["thresholds"] = {
-            "alpha_m": th.alpha_m,
-            "alpha_M": _ext(th.alpha_M),
-            "alpha_0": th.alpha_0,
-            "alpha_js": list(th.alpha_js),
-            "alpha_t": th.alpha_t,
-            "alpha_e": th.alpha_e,
-            "alpha_L": th.alpha_L,
-            "alpha_L_is_fallback": th.alpha_L_is_fallback,
-            "dualized": th.dualized,
-        }
+        outputs["thresholds"] = _wire(thresholds(T))
     except DomainError as exc:
         outputs["thresholds"] = None
         warnings.append("thresholds omitted: %s" % exc)
@@ -139,15 +114,7 @@ def _cmd_triple(args) -> tuple[dict, dict, list]:
     if args.g is not None:
         outputs["dim_stable_moduli"] = dim_stable_moduli(T, args.g)
         fib = fibration_dims(T, args.g)
-        outputs["fibration"] = {
-            "fiber_dim": fib.fiber_dim,
-            "empty_fiber": fib.empty_fiber,
-            "via_duality": fib.via_duality,
-            "base_factors": [
-                {"kind": f.kind, "rank": f.rank, "degree": f.degree}
-                for f in fib.base_factors
-            ],
-        }
+        outputs["fibration"] = _wire(fib)
         if fib.empty_fiber:
             warnings.append(
                 "fibration fiber dimension is negative: the extension "
@@ -190,24 +157,9 @@ def _cmd_chambers(args) -> tuple[dict, dict, list]:
     T = TripleType(args.n1, args.n2, args.d1, args.d2)
     rep = chambers(T, args.g, cutoff=args.cutoff)
     outputs = {
-        "alpha_m": rep.alpha_m,
-        "top": rep.top,
-        "top_is_alpha_M": rep.top_is_alpha_M,
-        "alpha_L": rep.alpha_L,
-        "marker": rep.marker,
-        "marker_status": rep.marker_status,
-        "marker_chamber": rep.marker_chamber,
-        "flips_to_large": rep.flips_to_large,
+        **_wire(rep, drop=("chambers", "walls")),
         "count": len(rep.chambers),
-        "chambers": [
-            {
-                "lo": c.lo,
-                "hi": c.hi,
-                "contains_2g_minus_2": c.contains_2g_minus_2,
-                "is_large_chamber": c.is_large_chamber,
-            }
-            for c in rep.chambers
-        ],
+        "chambers": [_wire(c) for c in rep.chambers],
         "walls": [w.alpha for w in rep.walls],
     }
     warnings = []
@@ -221,36 +173,18 @@ def _cmd_chambers(args) -> tuple[dict, dict, list]:
 
 def _cmd_higgs(args) -> tuple[dict, dict, list]:
     H = HiggsType(args.p, args.q, args.a, args.b, args.g)
-    t = toledo(H)
-    minima = minima_triple_type(H)
     mw = mw_relations(H)
     outputs = {
-        "toledo": {
-            "tau": t.tau,
-            "tau_max": t.tau_M,
-            "within_bound": t.within_bound,
-            "saturated": t.saturated,
-        },
+        "toledo": _wire(toledo(H)),
         "expected_dim": expected_dim(H),
         "coprime_smooth": coprime_smooth(H),
         "vanishing_pattern": vanishing_pattern(H),
-        "minima": {
-            "case": minima.case_tag,
-            "triple": _triple_wire(minima.triple),
-            "alpha": minima.alpha,
-            "product_factors": (
-                [list(f) for f in minima.product_factors]
-                if minima.product_factors is not None
-                else None
-            ),
-        },
+        "minima": _wire(minima_triple_type(H)),
         "range_placement": {
-            "alpha_m": mw.alpha_m,
-            "alpha_M": _ext(mw.alpha_M),
-            "two_g_minus_2": mw.two_g_minus_2,
-            "alpha_m_vs_2g2": mw.alpha_m_vs_2g2,
-            "alpha_M_vs_2g2": mw.alpha_M_vs_2g2,
-            "facts": {name: value for name, value in mw.facts},
+            **_wire(mw, drop=(
+                "tau", "tau_M", "within_bound", "saturated", "triple", "facts",
+            )),
+            "facts": dict(mw.facts),
         },
     }
     return outputs, {}, []
@@ -259,7 +193,7 @@ def _cmd_higgs(args) -> tuple[dict, dict, list]:
 def _cmd_rigidity(args) -> tuple[dict, dict, list]:
     H = HiggsType(args.p, args.q, args.a, args.b, args.g)
     rep = rigidity(H)
-    return _rigidity_wire(rep), {}, list(rep.warnings)
+    return _wire(rep, drop=("warnings",)), {}, list(rep.warnings)
 
 
 def _cmd_morse(args) -> tuple[dict, dict, list]:
@@ -302,12 +236,7 @@ def _cmd_census(args) -> tuple[dict, dict, list]:
             for t, line in rep.lines.items()
         },
         "points_per_line": quo.k,
-        "quotient": {
-            "k": quo.k,
-            "image_lattice_step": quo.image_lattice_step,
-            "kernel_size": quo.kernel_size,
-            "kernel_generator": list(quo.kernel_generator),
-        },
+        "quotient": _wire(quo),
         "coprime_and_non_coprime_nonempty": part.both_nonempty,
     }
     if args.a is not None:
@@ -318,26 +247,8 @@ def _cmd_census(args) -> tuple[dict, dict, list]:
 
 def _cmd_classify(args) -> tuple[dict, dict, list]:
     H = HiggsType(args.p, args.q, args.a, args.b, args.g)
-    v: Verdict = classify(H)
-    outputs = {
-        "tau": v.tau,
-        "tau_max": v.tau_max,
-        "in_range": v.in_range,
-        "saturated": v.saturated,
-        "coprime": v.coprime,
-        "case": v.case,
-        "stable_nonempty": v.stable_nonempty,
-        "stable_smooth_dim": v.stable_smooth_dim,
-        "closure_of_stable_connected": v.closure_of_stable_connected,
-        "full_space_nonempty": v.full_space_nonempty,
-        "full_space_connected": v.full_space_connected,
-        "rigid": v.rigid,
-        "rigidity_data": (
-            _rigidity_wire(v.rigidity_data) if v.rigidity_data else None
-        ),
-        "r_gamma": _subspace_wire(v.r_gamma),
-        "r_pu": _subspace_wire(v.r_pu),
-    }
+    v = classify(H)
+    outputs = _wire(v, drop=("higgs", "citations", "warnings"))
     return outputs, dict(v.citations), list(v.warnings)
 
 
@@ -375,10 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--alpha", type=_rational, help="evaluate the alpha-slope here"
     )
-    sub.set_defaults(
-        handler=_cmd_triple,
-        input_fields=("n1", "n2", "d1", "d2", "g", "alpha"),
-    )
+    sub.set_defaults(handler=_cmd_triple)
 
     sub = subs.add_parser(
         "walls", help="critical parameter values and their witnesses"
@@ -402,13 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--alpha", type=_rational, help="also test this value for criticality"
     )
-    sub.set_defaults(
-        handler=_cmd_walls,
-        input_fields=(
-            "n1", "n2", "d1", "d2", "interval", "include_endpoints",
-            "g", "alpha",
-        ),
-    )
+    sub.set_defaults(handler=_cmd_walls)
 
     sub = subs.add_parser(
         "chambers", help="chamber decomposition of the parameter range"
@@ -420,26 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
         type=_rational,
         help="upper horizon when n1 = n2 (default max(alpha_L, 2g-2, alpha_m) + 1)",
     )
-    sub.set_defaults(
-        handler=_cmd_chambers,
-        input_fields=("n1", "n2", "d1", "d2", "g", "cutoff"),
-    )
+    sub.set_defaults(handler=_cmd_chambers)
 
     sub = subs.add_parser(
         "higgs", help="Toledo invariant, minima triple, range placement"
     )
     _add_higgs_flags(sub)
-    sub.set_defaults(
-        handler=_cmd_higgs, input_fields=("p", "q", "a", "b", "g")
-    )
+    sub.set_defaults(handler=_cmd_higgs)
 
     sub = subs.add_parser(
         "rigidity", help="forced decomposition at maximal Toledo invariant"
     )
     _add_higgs_flags(sub)
-    sub.set_defaults(
-        handler=_cmd_rigidity, input_fields=("p", "q", "a", "b", "g")
-    )
+    sub.set_defaults(handler=_cmd_rigidity)
 
     sub = subs.add_parser(
         "morse", help="weight-space profile and Morse index of a fixed point"
@@ -457,9 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="chain degrees, comma separated, e.g. 2,1,0",
     )
     sub.add_argument("--g", type=int, required=True, help="genus, >= 2")
-    sub.set_defaults(
-        handler=_cmd_morse, input_fields=("ranks", "degrees", "g")
-    )
+    sub.set_defaults(handler=_cmd_morse)
 
     sub = subs.add_parser(
         "census", help="component classes of the flat-bundle variety"
@@ -473,18 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--b", type=int, help="with --a: canonicalize this degree pair"
     )
-    sub.set_defaults(
-        handler=_cmd_census, input_fields=("p", "q", "g", "a", "b")
-    )
+    sub.set_defaults(handler=_cmd_census)
 
     sub = subs.add_parser(
         "classify",
         help="connectedness / smoothness / rigidity verdicts with citations",
     )
     _add_higgs_flags(sub)
-    sub.set_defaults(
-        handler=_cmd_classify, input_fields=("p", "q", "a", "b", "g")
-    )
+    sub.set_defaults(handler=_cmd_classify)
 
     for name, sp in subs.choices.items():
         sp.add_argument(
@@ -549,11 +438,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    inputs = {}
-    for name in args.input_fields:
-        raw = getattr(args, name)
-        if raw is not None and raw is not False:
-            inputs[name] = list(raw) if isinstance(raw, tuple) else raw
+    inputs = {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "handler", "json")
+        and value is not None and value is not False
+    }
     report = {
         "command": args.command,
         "inputs": jsonable(inputs),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class DomainError(ValueError):
     """An input violates a documented mathematical precondition.
@@ -9,3 +11,17 @@ class DomainError(ValueError):
     The message names the precondition so callers (and the CLI, which maps
     this to exit code 1) can report something actionable.
     """
+
+
+def require_int(name: str, value, minimum: Optional[int] = None) -> None:
+    """Raise DomainError unless value is an int (bools excluded) that is
+    at least ``minimum`` when one is given."""
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        raise DomainError(
+            "%s must be an integer%s"
+            % (name, "" if minimum is None else " >= %d" % minimum)
+        )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError
+from .errors import require_int
 from .rationals import Rational
 from .triples import TripleType, alpha_range
 
@@ -39,14 +39,11 @@ class HiggsType:
     g: int
 
     def __post_init__(self) -> None:
-        for name in ("p", "q", "a", "b", "g"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise DomainError("%s must be an integer, got %r" % (name, v))
-        if self.p < 1 or self.q < 1:
-            raise DomainError("ranks p, q must be >= 1")
-        if self.g < 2:
-            raise DomainError("genus must be an integer >= 2")
+        require_int("p", self.p, 1)
+        require_int("q", self.q, 1)
+        require_int("a", self.a)
+        require_int("b", self.b)
+        require_int("genus", self.g, 2)
 
     @property
     def total_rank(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 MORSE_NEGATIVE_ADVISORY = (
     "negative index: not realizable as a stable critical point"
@@ -44,11 +44,9 @@ class HodgeChain:
                 % (len(self.ranks), len(self.degrees))
             )
         for r in self.ranks:
-            if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-                raise DomainError("chain ranks must be integers >= 1")
+            require_int("chain rank", r, 1)
         for e in self.degrees:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise DomainError("chain degrees must be integers")
+            require_int("chain degree", e)
 
     @property
     def length(self) -> int:
@@ -81,10 +79,8 @@ def dim_h1_weight(C: HodgeChain, k: int, g: int) -> int:
     For k >= 1 this is (g-1)(rk U_{2k+1} + rk U_{2k}) + deg U_{2k+1}
     - deg U_{2k}; the invariant-direction case k = 0 picks up an extra 1.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError("weight k must be an integer >= 0")
-    if not isinstance(g, int) or isinstance(g, bool) or g < 2:
-        raise DomainError("genus must be an integer >= 2")
+    require_int("weight k", k, 0)
+    require_int("genus", g, 2)
     r_odd, d_odd = uk_profile(C, 2 * k + 1)
     r_even, d_even = uk_profile(C, 2 * k)
     base = (g - 1) * (r_odd + r_even) + d_odd - d_even
@@ -101,8 +97,7 @@ def morse_index(C: HodgeChain, g: int) -> int:
     data that is not realizable as a stable critical point can produce a
     negative value, which is returned unchanged.
     """
-    if not isinstance(g, int) or isinstance(g, bool) or g < 2:
-        raise DomainError("genus must be an integer >= 2")
+    require_int("genus", g, 2)
     total = 0
     for k in range(2, C.length):
         rank, degree = uk_profile(C, k)

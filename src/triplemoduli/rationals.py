@@ -5,18 +5,19 @@ floats never appear. ``None`` is the conventional marker for +infinity in
 interval endpoints. These helpers give rationals a stable wire format:
 ``"num/den"`` with the denominator omitted when it is 1, so integers stay
 JSON numbers and nothing ever round-trips through binary floating point.
+
+``None`` also means "absent", so these helpers leave it as null. The CLI
+report serializer (``cli._wire``) writes it as "inf" in the fields that
+hold an unbounded endpoint: ``AlphaInterval.hi``, ``Thresholds.alpha_M``
+and ``MWReport.alpha_M``, each None exactly when its ranks are equal.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rational = Fraction
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Build a Fraction; kept for readable call sites."""
-    return Fraction(num, den)
 
 
 def rat_str(x: Fraction | int) -> str:
@@ -27,26 +28,30 @@ def rat_str(x: Fraction | int) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+_WIRE_RAT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse "num/den" or "num". Raises ValueError on anything else.
 
-    Only integer numerator/denominator are accepted: this is the CLI wire
-    format, not a general number parser, so "2.5" and "1e3" are rejected.
+    After stripping surrounding whitespace the text must match
+    ``-?[0-9]+(/[0-9]+)?`` in full: ASCII digits, a sign only in front of
+    the numerator, no inner spaces or underscores. This is the CLI wire
+    format, not a general number parser, so "2.5", "1e3" and "1_000" are
+    rejected. A zero denominator raises ZeroDivisionError.
     """
     s = text.strip()
-    if "/" in s:
-        num_s, _, den_s = s.partition("/")
-        return Fraction(int(num_s), int(den_s))
-    return Fraction(int(s))
+    if not _WIRE_RAT.fullmatch(s):
+        raise ValueError("not an exact rational N or N/D: %r" % (text,))
+    num_s, _, den_s = s.partition("/")
+    return Fraction(int(num_s), int(den_s or 1))
 
 
 def jsonable(x):
     """Map a value to the JSON wire format.
 
-    Fractions become ints when integral, "num/den" strings otherwise; the
-    infinity marker ``None`` is left for the caller to rename (null means
-    "absent" in reports, so infinite endpoints are mapped to "inf" at the
-    report-building layer, not here).
+    Fractions become ints when integral, "num/den" strings otherwise;
+    ``None`` stays null (see the module docstring for "inf").
     """
     if isinstance(x, bool) or x is None:
         return x

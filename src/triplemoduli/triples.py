@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .rationals import Rational
 
 
@@ -46,9 +46,7 @@ class TripleType:
 
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "d1", "d2"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise DomainError("%s must be an integer, got %r" % (name, v))
+            require_int(name, getattr(self, name))
         if self.n1 < 0 or self.n2 < 0:
             raise DomainError("ranks must be nonnegative")
         if self.n1 == 0 and self.n2 == 0:
@@ -158,20 +156,14 @@ class FibrationDims:
     """
 
     fiber_dim: int
-    base_factors: tuple[BaseFactor, ...]
-    via_duality: bool
     empty_fiber: bool
-
-
-def _check_genus(g: int) -> None:
-    if not isinstance(g, int) or isinstance(g, bool) or g < 2:
-        raise DomainError("genus must be an integer >= 2, got %r" % (g,))
+    via_duality: bool
+    base_factors: tuple[BaseFactor, ...]
 
 
 def slope(n: int, d: int) -> Rational:
     """Slope d/n of a bundle of rank n >= 1 and degree d."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError("slope needs rank >= 1, got %r" % (n,))
+    require_int("rank", n, 1)
     return Fraction(d, n)
 
 
@@ -362,7 +354,7 @@ def chi(Tpp: TripleType, Tp: TripleType, g: int) -> int:
     Ext^1(T'', T'), of dimension -chi(T'', T') whenever the boundary
     cohomologies vanish.
     """
-    _check_genus(g)
+    require_int("genus", g, 2)
     a1, a2, x1, x2 = Tpp.as_tuple
     b1, b2, y1, y2 = Tp.as_tuple
     rank_part = (1 - g) * (a1 * b1 + a2 * b2 - a2 * b1)
@@ -375,7 +367,7 @@ def dim_stable_moduli(T: TripleType, g: int) -> int:
 
     Equals 1 - chi(T, T) = (g-1)(n1^2 + n2^2 - n1 n2) + n2 d1 - n1 d2 + 1.
     """
-    _check_genus(g)
+    require_int("genus", g, 2)
     return 1 - chi(T, T, g)
 
 
@@ -391,7 +383,7 @@ def fibration_dims(T: TripleType, g: int) -> FibrationDims:
     dimension N = n (d1 - d2) - 1. Types with n1 < n2 are handled through
     the dual. Negative N is reported, not raised.
     """
-    _check_genus(g)
+    require_int("genus", g, 2)
     if T.n1 < 1 or T.n2 < 1:
         raise DomainError("fibration_dims needs both ranks >= 1")
     via_duality = False
@@ -414,7 +406,7 @@ def fibration_dims(T: TripleType, g: int) -> FibrationDims:
         )
     return FibrationDims(
         fiber_dim=fiber,
-        base_factors=base,
-        via_duality=via_duality,
         empty_fiber=fiber < 0,
+        via_duality=via_duality,
+        base_factors=base,
     )

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .rationals import Rational
 from .triples import (
     TripleType,
     alpha_range,
     chi,
     dim_stable_moduli,
-    _check_genus,
 )
 
 
@@ -224,7 +223,7 @@ def enumerate_walls(
                     "the wall set for n1 = n2 is unbounded; pass an explicit "
                     "interval or g for the default horizon max(alpha_L, 2g-2, alpha_m)+1"
                 )
-            _check_genus(g)
+            require_int("genus", g, 2)
             hi = max(_alpha_L_equal_ranks(T), Fraction(2 * g - 2), lo) + 1
         else:
             assert rng.hi is not None
@@ -283,8 +282,7 @@ def is_critical(T: TripleType, alpha: Rational) -> WallTest:
 
 def integer_genericity(T: TripleType, m: int) -> GenericityFacts:
     """Sufficient genericity tests for the integer parameter m."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise DomainError("m must be an integer, got %r" % (m,))
+    require_int("m", m)
     n = T.total_rank
     D = T.total_degree
     return GenericityFacts(
@@ -306,7 +304,7 @@ def chambers(
     crossing is stabilized; chambers entirely above alpha_L are flagged
     large as well. Raises on an empty or degenerate range.
     """
-    _check_genus(g)
+    require_int("genus", g, 2)
     if T.n1 < 1 or T.n2 < 1:
         raise DomainError("chambers needs both ranks >= 1")
     rng = alpha_range(T)
@@ -406,7 +404,7 @@ def flip_dims(T: TripleType, Tp: TripleType, g: int) -> FlipDims:
 
     No minimization over splits is attempted; each call reports one split.
     """
-    _check_genus(g)
+    require_int("genus", g, 2)
     if T.n1 < 1 or T.n2 < 1:
         raise DomainError("flip_dims needs both ranks of T >= 1")
     n1pp = T.n1 - Tp.n1

@@ -1,8 +1,13 @@
 """Command line behavior: exit codes, report envelopes, JSON stability."""
 
+import contextlib
+import io
 import json
+import signal
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from triplemoduli.cli import build_parser, main
 
@@ -70,6 +75,15 @@ class TestExitCodes:
     def test_help_is_exit_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+    @pytest.mark.parametrize("ranks", [("1", "0"), ("0", "1")])
+    def test_zero_rank_is_exit_one(self, capsys, ranks):
+        code, _, err = run(
+            capsys, "triple", "--n1", ranks[0], "--n2", ranks[1],
+            "--d1", "1", "--d2", "1",
+        )
+        assert code == 1
+        assert "ranks >= 1" in err
 
     def test_bad_genus_is_exit_one(self, capsys):
         code, _, err = run(
@@ -334,3 +348,73 @@ class TestParser:
             "triple", "walls", "chambers", "higgs", "rigidity",
             "morse", "census", "classify",
         }
+
+
+SUBCOMMANDS = next(a for a in build_parser()._actions if a.choices).choices
+_small = (st.integers(1, 20) | st.integers(-20, 20)).map(str)
+_list = st.lists(_small, min_size=1, max_size=3).map(",".join)
+_rational = st.one_of(
+    _small, st.tuples(_small, st.integers(1, 20).map(str)).map("/".join)
+)
+
+
+def _value(action):
+    if action.type is int:
+        return _small
+    return _list if action.dest in ("ranks", "degrees") else _rational
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with most of its flags, each given as many values of
+    its kind as it takes (small integers, integer lists or rationals),
+    and now and then stray tokens."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    for action in SUBCOMMANDS[command]._actions:
+        if "--help" in action.option_strings:
+            continue
+        if draw(st.sampled_from(range(16))) == 0:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs is None:
+            # --flag=value, so a value such as -1,2 is not read as a flag
+            argv.append("%s=%s" % (flag, draw(_value(action))))
+        else:
+            n = action.nargs
+            argv += [flag] + draw(st.lists(_value(action), min_size=n, max_size=n))
+    if draw(st.sampled_from(range(8))) == 0:
+        argv += draw(st.lists(st.one_of(_small, _list, _rational), max_size=2))
+    return argv
+
+
+class _Cut(BaseException):
+    """Raised by the timer that stops a request past its time budget."""
+
+
+def _cut(signum, frame):
+    raise _Cut
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "setitimer"), reason="needs an interval timer"
+)
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_every_argv_exits_zero_one_or_two(argv):
+    # The CLI does not bound its work yet (a census at p = q = g = 20
+    # scans over 10^8 cells), so a request still running after a
+    # quarter second is stopped and discarded rather than waited for.
+    previous = signal.signal(signal.SIGALRM, _cut)
+    signal.setitimer(signal.ITIMER_REAL, 0.25)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    except _Cut:
+        reject()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
