@@ -7,8 +7,13 @@ Toledo value tau = 2(qa - pb)/(p + q), constrained by the bound
 |tau| <= min(p, q)(2g - 2), and the finite class set decomposes into
 fibres of tau ("lines"), each of size k = gcd(p, q).
 
-This module enumerates the class set exactly, canonicalizes a pair to
-the distinguished representative of its class, partitions classes by
+The distinguished representatives form the fundamental region
+a < p, b < q, not both negative, inside the Toledo band
+|aq - bp| <= (p + q) min(p, q)(g - 1). Each class meets it exactly once:
+the largest translate keeping a < p and b < q has one coordinate
+nonnegative, and the next one down has neither. This module walks the
+region column by column, reading each column's b-interval off the band,
+canonicalizes a pair by that floor-division shift, partitions classes by
 the coprimality gcd(p + q, a + b) = 1 (which is class-invariant), and
 reports the lattice geometry of tau on classes: image step 2k/(p + q),
 kernel of size k generated by (p/k, q/k).
@@ -78,31 +83,24 @@ def _check_pqg(p: int, q: int, g: int) -> None:
     require_int("genus", g, 2)
 
 
+def _bound(p: int, q: int, g: int) -> int:
+    """The Toledo band half-width (p + q) min(p, q) (g - 1) on qa - pb."""
+    return (p + q) * min(p, q) * (g - 1)
+
+
 def _member(p: int, q: int, g: int, a: int, b: int) -> bool:
     """Membership test in the distinguished fundamental region, without
-    input checks. Ranks with p > q use the swapped test, matching the
-    symmetry (p, q, a, b) -> (q, p, b, a) of the class structure."""
-    if p > q:
-        p, q, a, b = q, p, b, a
-    bound = (p + q) * p * (g - 1)
-    if abs(a * q - b * p) > bound:
+    input checks."""
+    if a >= p or b >= q or (a < 0 and b < 0):
         return False
-    in_strips = (0 <= a <= p and b <= q) or (0 <= b <= q and a <= p)
-    if not in_strips:
-        return False
-    if a == p and b <= q:
-        return False
-    if b == q and a <= p:
-        return False
-    return True
+    return abs(a * q - b * p) <= _bound(p, q, g)
 
 
 def omega_membership(p: int, q: int, g: int, a: int, b: int) -> bool:
     """Whether (a, b) is the distinguished representative of its class.
 
-    The region is cut out by the Toledo bound together with half-open
-    strip conditions chosen so each translation class (a + lp, b + lq)
-    meets it exactly once.
+    The region is a < p, b < q, not both negative, inside the Toledo
+    band; each translation class (a + lp, b + lq) meets it exactly once.
     """
     _check_pqg(p, q, g)
     require_int("a", a)
@@ -120,28 +118,15 @@ def canonicalize(p: int, q: int, g: int, a: int, b: int) -> ClassPair:
     _check_pqg(p, q, g)
     require_int("a", a)
     require_int("b", b)
-    bound = (p + q) * min(p, q) * (g - 1)
-    if abs(a * q - b * p) > bound:
+    if abs(a * q - b * p) > _bound(p, q, g):
         raise DomainError(
             "class of (a, b) lies outside the Toledo bound "
             "|aq - bp| <= (p+q) min(p,q) (g-1)"
         )
-    # Any representative inside the region has both shifted coordinates
-    # in (or adjacent to) the unit strips, so a short window of l values
-    # suffices; padding by one guards the half-open edges.
-    lo = min(-(a // p), -(b // q)) - 1
-    hi = max((p - a) // p, (q - b) // q) + 1
-    hits = [
-        (a + l * p, b + l * q)
-        for l in range(lo, hi + 1)
-        if _member(p, q, g, a + l * p, b + l * q)
-    ]
-    if len(hits) != 1:
-        raise AssertionError(
-            "fundamental region defect for (p=%d, q=%d, g=%d, a=%d, b=%d): "
-            "%d representatives found" % (p, q, g, a, b, len(hits))
-        )
-    return ClassPair(hits[0][0], hits[0][1], canonical=True)
+    # The largest shift keeping a < p and b < q leaves one coordinate
+    # nonnegative; one step further down leaves neither.
+    l = min(-(a // p), -(b // q))
+    return ClassPair(a + l * p, b + l * q, canonical=True)
 
 
 def enumerate_region(p: int, q: int, g: int) -> CensusReport:
@@ -153,13 +138,18 @@ def enumerate_region(p: int, q: int, g: int) -> CensusReport:
     """
     _check_pqg(p, q, g)
     k = math.gcd(p, q)
-    bound = (p + q) * min(p, q) * (g - 1)
+    bound = _bound(p, q, g)
     points = []
-    for a in range(-bound, p + 1):
-        for b in range(-bound, q + 1):
-            if _member(p, q, g, a, b):
-                points.append(ClassPair(a, b, canonical=True))
-    points.sort(key=lambda cp: (cp.a, cp.b))
+    # Column a holds the b < q with |aq - bp| <= bound, and b >= 0 when
+    # a < 0; the band leaves no b >= 0 left of a = -(bound // q).
+    for a in range(-(bound // q), p):
+        b_lo = -((bound - a * q) // p)
+        if a < 0:
+            b_lo = max(b_lo, 0)
+        b_hi = min(q - 1, (a * q + bound) // p)
+        points.extend(
+            ClassPair(a, b, canonical=True) for b in range(b_lo, b_hi + 1)
+        )
     n = p + q
     coprime = tuple(
         cp for cp in points if math.gcd(n, cp.a + cp.b) == 1

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .census import canonicalize, coprime_partition, enumerate_region, tau_quotient_facts
+from .census import canonicalize, enumerate_region, tau_quotient_facts
 from .classify import classify
 from .errors import DomainError
 from .higgs import (
@@ -225,7 +225,6 @@ def _cmd_census(args) -> tuple[dict, dict, list]:
         raise DomainError("--a and --b must be given together")
     rep = enumerate_region(args.p, args.q, args.g)
     quo = tau_quotient_facts(args.p, args.q)
-    part = coprime_partition(args.p, args.q, args.g)
     outputs: dict = {
         "count": rep.count,
         "points": [[cp.a, cp.b] for cp in rep.points],
@@ -237,7 +236,9 @@ def _cmd_census(args) -> tuple[dict, dict, list]:
         },
         "points_per_line": quo.k,
         "quotient": _wire(quo),
-        "coprime_and_non_coprime_nonempty": part.both_nonempty,
+        "coprime_and_non_coprime_nonempty": (
+            0 < len(rep.coprime_points) < rep.count
+        ),
     }
     if args.a is not None:
         cp = canonicalize(args.p, args.q, args.g, args.a, args.b)

@@ -65,6 +65,14 @@ class TripleType:
         return (self.n1, self.n2, self.d1, self.d2)
 
 
+def require_ranks(
+    T: TripleType, caller: str, ranks: str = "both ranks"
+) -> None:
+    """Refuse a type with a zero rank, naming the refusing function."""
+    if T.n1 < 1 or T.n2 < 1:
+        raise DomainError("%s needs %s >= 1" % (caller, ranks))
+
+
 @dataclass(frozen=True)
 class WitnessOutcome:
     """Evaluation of one claimed destabilizer against a triple."""
@@ -236,8 +244,7 @@ def alpha_range(T: TripleType) -> AlphaInterval:
     alpha_M = (1 + (n1 + n2)/|n1 - n2|) (mu1 - mu2); for n1 = n2 the
     interval is unbounded above (hi is None).
     """
-    if T.n1 < 1 or T.n2 < 1:
-        raise DomainError("alpha_range needs both ranks >= 1")
+    require_ranks(T, "alpha_range")
     mu1 = Fraction(T.d1, T.n1)
     mu2 = Fraction(T.d2, T.n2)
     gap = mu1 - mu2
@@ -279,8 +286,7 @@ def thresholds(T: TripleType) -> Thresholds:
     bounds where it must be surjective-generic. alpha_e is the entry
     threshold max(alpha_m, alpha_0, alpha_t).
     """
-    if T.n1 < 1 or T.n2 < 1:
-        raise DomainError("thresholds needs both ranks >= 1")
+    require_ranks(T, "thresholds")
     dualized = False
     S = T
     if S.n1 < S.n2:
@@ -384,8 +390,7 @@ def fibration_dims(T: TripleType, g: int) -> FibrationDims:
     the dual. Negative N is reported, not raised.
     """
     require_int("genus", g, 2)
-    if T.n1 < 1 or T.n2 < 1:
-        raise DomainError("fibration_dims needs both ranks >= 1")
+    require_ranks(T, "fibration_dims")
     via_duality = False
     S = T
     if S.n1 < S.n2:

@@ -31,6 +31,7 @@ from .triples import (
     alpha_range,
     chi,
     dim_stable_moduli,
+    require_ranks,
 )
 
 
@@ -210,8 +211,7 @@ def enumerate_walls(
     witnesses sharing an alpha are merged. Output is independent of scan
     order.
     """
-    if T.n1 < 1 or T.n2 < 1:
-        raise DomainError("enumerate_walls needs both ranks >= 1")
+    require_ranks(T, "enumerate_walls")
     rng = alpha_range(T)
     if interval is None:
         if rng.empty:
@@ -266,8 +266,7 @@ def is_critical(T: TripleType, alpha: Rational) -> WallTest:
     alpha exactly. No range filtering is applied; in particular alpha_m
     itself usually tests critical.
     """
-    if T.n1 < 1 or T.n2 < 1:
-        raise DomainError("is_critical needs both ranks >= 1")
+    require_ranks(T, "is_critical")
     a = Fraction(alpha)
     n = T.total_rank
     D = T.total_degree
@@ -305,8 +304,7 @@ def chambers(
     large as well. Raises on an empty or degenerate range.
     """
     require_int("genus", g, 2)
-    if T.n1 < 1 or T.n2 < 1:
-        raise DomainError("chambers needs both ranks >= 1")
+    require_ranks(T, "chambers")
     rng = alpha_range(T)
     if rng.empty:
         raise DomainError(
@@ -405,8 +403,7 @@ def flip_dims(T: TripleType, Tp: TripleType, g: int) -> FlipDims:
     No minimization over splits is attempted; each call reports one split.
     """
     require_int("genus", g, 2)
-    if T.n1 < 1 or T.n2 < 1:
-        raise DomainError("flip_dims needs both ranks of T >= 1")
+    require_ranks(T, "flip_dims", "both ranks of T")
     n1pp = T.n1 - Tp.n1
     n2pp = T.n2 - Tp.n2
     if Tp.n1 < 0 or Tp.n2 < 0 or n1pp < 0 or n2pp < 0:

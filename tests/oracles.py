@@ -3,7 +3,10 @@
 These deliberately share no derivation with the library: walls are
 found by scanning every candidate subtriple over a provably generous
 degree window and keeping exact rational hits, rather than by the
-per-rank-pair monotone interval the library uses.
+per-rank-pair monotone interval the library uses. The census region is
+found by testing every cell of a grid against the two half-open strips,
+and a canonical representative by searching a window of translates,
+rather than by the closed-form column walk and floor-division shift.
 """
 
 from fractions import Fraction as F
@@ -68,3 +71,46 @@ def oracle_alpha_independent_witness(T):
             if ((n1p + n2p) * D) % n == 0:
                 return True
     return False
+
+
+def oracle_member(p, q, g, a, b):
+    """Strip form of the census region: the Toledo band plus the strips
+    0 <= a < p, b < q and 0 <= b < q, a < p, tested with p <= q."""
+    if p > q:
+        p, q, a, b = q, p, b, a
+    bound = (p + q) * p * (g - 1)
+    if abs(a * q - b * p) > bound:
+        return False
+    in_strips = (0 <= a <= p and b <= q) or (0 <= b <= q and a <= p)
+    if not in_strips:
+        return False
+    if a == p and b <= q:
+        return False
+    if b == q and a <= p:
+        return False
+    return True
+
+
+def oracle_region(p, q, g):
+    """Every census point (a, b), in (a, b) order, by testing each cell
+    of the (bound + p + 1)(bound + q + 1) grid."""
+    bound = (p + q) * min(p, q) * (g - 1)
+    return [
+        (a, b)
+        for a in range(-bound, p + 1)
+        for b in range(-bound, q + 1)
+        if oracle_member(p, q, g, a, b)
+    ]
+
+
+def oracle_canonical(p, q, g, a, b):
+    """Every translate (a + lp, b + lq) in the census region, searched
+    over a padded window of l around the unit strips. A class inside
+    the Toledo bound gives exactly one hit; one outside it gives none."""
+    lo = min(-(a // p), -(b // q)) - 1
+    hi = max((p - a) // p, (q - b) // q) + 1
+    return [
+        (a + l * p, b + l * q)
+        for l in range(lo, hi + 1)
+        if oracle_member(p, q, g, a + l * p, b + l * q)
+    ]

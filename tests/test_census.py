@@ -18,6 +18,8 @@ from triplemoduli import (
     tau_quotient_facts,
 )
 
+from oracles import oracle_canonical, oracle_member, oracle_region
+
 pq = st.integers(min_value=1, max_value=4)
 genera = st.integers(min_value=2, max_value=3)
 
@@ -160,3 +162,64 @@ class TestCoprimePartition:
         assert part.both_nonempty
         assert len(part.coprime) >= 1
         assert len(part.non_coprime) >= 1
+
+
+class TestAgainstOracle:
+    def test_region_matches_grid_scan_on_criterion_07_box(self):
+        for p in range(1, 8):
+            for q in range(1, 9 - p):
+                for g in (2, 3, 4):
+                    rep = enumerate_region(p, q, g)
+                    points = [cp.as_tuple for cp in rep.points]
+                    assert points == oracle_region(p, q, g), (p, q, g)
+
+    def test_membership_matches_strips_on_the_whole_grid(self):
+        for p in range(1, 5):
+            for q in range(1, 5):
+                for g in (2, 3):
+                    bound = (p + q) * min(p, q) * (g - 1)
+                    for a in range(-bound - 2, p + 3):
+                        for b in range(-bound - 2, q + 3):
+                            assert omega_membership(
+                                p, q, g, a, b
+                            ) == oracle_member(p, q, g, a, b), (p, q, g, a, b)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(2, 4),
+        st.integers(0, 10**6),
+        st.integers(-(10**6), 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_canonicalize_matches_window_search_on_far_translates(
+        self, p, q, g, index, l
+    ):
+        region = oracle_region(p, q, g)
+        a, b = region[index % len(region)]
+        a, b = a + l * p, b + l * q
+        assert oracle_canonical(p, q, g, a, b) == [
+            canonicalize(p, q, g, a, b).as_tuple
+        ]
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(2, 4),
+        st.integers(-200, 200),
+        st.integers(-200, 200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_canonicalize_matches_window_search_on_any_pair(
+        self, p, q, g, a, b
+    ):
+        hits = oracle_canonical(p, q, g, a, b)
+        if abs(a * q - b * p) > (p + q) * min(p, q) * (g - 1):
+            assert hits == []
+            with pytest.raises(DomainError, match="outside the Toledo bound"):
+                canonicalize(p, q, g, a, b)
+        else:
+            assert hits == [canonicalize(p, q, g, a, b).as_tuple]
+
+    def test_large_census_runs_in_closed_form(self):
+        assert enumerate_region(30, 30, 30).count == 104430

@@ -402,8 +402,8 @@ def _cut(signum, frame):
 @settings(max_examples=300, deadline=None)
 @given(argvs())
 def test_every_argv_exits_zero_one_or_two(argv):
-    # The CLI does not bound its work yet (a census at p = q = g = 20
-    # scans over 10^8 cells), so a request still running after a
+    # The CLI does not bound its work yet (walls over an interval of
+    # width 10^8 run unbounded), so a request still running after a
     # quarter second is stopped and discarded rather than waited for.
     previous = signal.signal(signal.SIGALRM, _cut)
     signal.setitimer(signal.ITIMER_REAL, 0.25)

@@ -11,11 +11,15 @@ from triplemoduli import (
     TripleType,
     alpha_range,
     alpha_slope,
+    chambers,
     chi,
     delta_alpha,
     dim_stable_moduli,
     dual,
+    enumerate_walls,
     fibration_dims,
+    flip_dims,
+    is_critical,
     slope,
     thresholds,
     triple_slope,
@@ -261,3 +265,45 @@ class TestWitnessCheck:
         assert not strict.passed
         assert strict.items[0].error is not None
         assert weak.passed
+
+
+ZERO_RANK = TripleType(0, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: alpha_range(ZERO_RANK), "alpha_range needs both ranks >= 1"),
+        (lambda: thresholds(ZERO_RANK), "thresholds needs both ranks >= 1"),
+        (
+            lambda: enumerate_walls(ZERO_RANK),
+            "enumerate_walls needs both ranks >= 1",
+        ),
+        (
+            lambda: is_critical(ZERO_RANK, 1),
+            "is_critical needs both ranks >= 1",
+        ),
+        (lambda: chambers(ZERO_RANK, 2), "chambers needs both ranks >= 1"),
+        (
+            lambda: flip_dims(ZERO_RANK, TripleType(0, 1, 0, 0), 2),
+            "flip_dims needs both ranks of T >= 1",
+        ),
+        (
+            lambda: fibration_dims(ZERO_RANK, 2),
+            "fibration_dims needs both ranks >= 1",
+        ),
+    ],
+    ids=[
+        "alpha_range",
+        "thresholds",
+        "enumerate_walls",
+        "is_critical",
+        "chambers",
+        "flip_dims",
+        "fibration_dims",
+    ],
+)
+def test_zero_rank_refusal_names_the_function(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
