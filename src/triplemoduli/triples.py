@@ -10,11 +10,11 @@ on a rational parameter alpha through the alpha-slope
 
 and T is alpha-(semi)stable when every proper subtriple has strictly smaller
 (or equal) alpha-slope. This module implements the closed-form consequences:
-the admissible alpha interval, the named parameter thresholds, the duality
-on types, the Euler characteristic chi(T'', T') of the hypercohomology
-complex controlling Hom/Ext between triples, and the dimension formulas it
-induces for the moduli space N_alpha(n1, n2, d1, d2) and for the large-alpha
-fibration over bundle moduli.
+the admissible alpha interval, the named parameter thresholds (alpha_L too,
+with no wall scan), the duality on types, the Euler characteristic
+chi(T'', T') of the hypercohomology complex controlling Hom/Ext between
+triples, and the dimension formulas it induces for the moduli space
+N_alpha(n1, n2, d1, d2) and for the large-alpha fibration over bundle moduli.
 
 Everything is exact: inputs are integers, outputs are integers or
 ``fractions.Fraction``. ``None`` marks +infinity for interval endpoints.
@@ -23,6 +23,7 @@ Violated preconditions raise :class:`~triplemoduli.errors.DomainError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -123,9 +124,9 @@ class Thresholds:
     alpha_M are unchanged by that move. alpha_js lists alpha_j for
     j = 0..n2-1 (alpha_0 is its first entry), alpha_t exists only for
     n1 > n2, alpha_e = max(alpha_m, alpha_0, alpha_t), and alpha_L is the
-    stabilization threshold: the closed form n(n-1)(mu1 - mu2) when n1 = n2,
-    otherwise the largest interior wall (falling back to alpha_m, flagged,
-    when there is none).
+    stabilization threshold: n(n-1)(mu1 - mu2) when n1 = n2, otherwise the
+    largest interior wall, in closed form per rank pair (falling back to
+    alpha_m, flagged, when there is none).
     """
 
     alpha_m: Rational
@@ -266,6 +267,22 @@ def dual(T: TripleType) -> TripleType:
     return TripleType(T.n2, T.n1, -T.d2, -T.d1)
 
 
+def _admissible_rank_pairs(T: TripleType):
+    for n1p in range(T.n1 + 1):
+        for n2p in range(T.n2 + 1):
+            if n1p == 0 and n2p == 0:
+                continue
+            det = n1p * T.n2 - T.n1 * n2p
+            if det == 0:
+                continue
+            yield n1p, n2p, det
+
+
+def _alpha_L_equal_ranks(n: int, gap: Rational) -> Rational:
+    """Stabilization threshold n(n-1)(mu1 - mu2) of a type with n1 = n2 = n."""
+    return n * (n - 1) * gap
+
+
 def thresholds(T: TripleType) -> Thresholds:
     """Named thresholds alpha_m, alpha_M, alpha_j, alpha_t, alpha_e, alpha_L.
 
@@ -292,19 +309,16 @@ def thresholds(T: TripleType) -> Thresholds:
     if S.n1 < S.n2:
         S = dual(S)
         dualized = True
-    mu1 = Fraction(S.d1, S.n1)
-    mu2 = Fraction(S.d2, S.n2)
-    gap = mu1 - mu2
-    if gap < 0:
+    rng = alpha_range(S)
+    gap = alpha_m = rng.lo
+    alpha_M = rng.hi
+    if rng.empty:
         raise DomainError(
             "thresholds needs mu1 >= mu2; mu1 - mu2 = %s < 0 means the "
             "admissible alpha range is empty" % (gap,)
         )
     n1, n2 = S.n1, S.n2
     n = n1 + n2
-    rng = alpha_range(S)
-    alpha_m = rng.lo
-    alpha_M = rng.hi
     alpha_js = tuple(
         2 * n1 * n2 * gap / (n2 * (n1 - n2) + (j + 1) * n)
         for j in range(n2)
@@ -319,20 +333,18 @@ def thresholds(T: TripleType) -> Thresholds:
         candidates.append(alpha_t)
     alpha_e = max(candidates)
     if n1 == n2:
-        alpha_L = n1 * (n1 - 1) * gap
-        fallback = False
+        alpha_L = _alpha_L_equal_ranks(n1, gap)
     else:
-        # largest interior wall; the import is deferred because walls.py
-        # builds on this module
-        from .walls import enumerate_walls
-
-        interior = enumerate_walls(S, interval=(alpha_m, alpha_M))
-        if interior:
-            alpha_L = interior[-1].alpha
-            fallback = False
-        else:
-            alpha_L = alpha_m
-            fallback = True
+        # largest interior wall: alpha is monotone in d' per rank pair, so
+        # the largest wall below alpha_M sits at a ceiling or floor of x/n
+        assert alpha_M is not None
+        D = S.total_degree
+        alpha_L = alpha_m
+        for n1p, n2p, det in _admissible_rank_pairs(S):
+            x = alpha_M * det + (n1p + n2p) * D
+            dp = math.ceil(x / n) - 1 if det > 0 else math.floor(x / n) + 1
+            alpha_L = max(alpha_L, Fraction(n * dp - (n1p + n2p) * D, det))
+    fallback = n1 != n2 and alpha_L == alpha_m
     return Thresholds(
         alpha_m=alpha_m,
         alpha_M=alpha_M,

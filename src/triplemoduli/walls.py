@@ -28,6 +28,8 @@ from .errors import DomainError, require_int
 from .rationals import Rational
 from .triples import (
     TripleType,
+    _admissible_rank_pairs,
+    _alpha_L_equal_ranks,
     alpha_range,
     chi,
     dim_stable_moduli,
@@ -152,17 +154,6 @@ class FlipDims:
     codim_in_moduli: int
 
 
-def _admissible_rank_pairs(T: TripleType):
-    for n1p in range(T.n1 + 1):
-        for n2p in range(T.n2 + 1):
-            if n1p == 0 and n2p == 0:
-                continue
-            det = n1p * T.n2 - T.n1 * n2p
-            if det == 0:
-                continue
-            yield n1p, n2p, det
-
-
 def wall_alpha(T: TripleType, n1p: int, n2p: int, dsum: int) -> Rational:
     """Parameter value where the candidate's alpha-slope meets T's.
 
@@ -184,9 +175,9 @@ def wall_alpha(T: TripleType, n1p: int, n2p: int, dsum: int) -> Rational:
     )
 
 
-def _alpha_L_equal_ranks(T: TripleType) -> Fraction:
-    gap = Fraction(T.d1, T.n1) - Fraction(T.d2, T.n2)
-    return T.n1 * (T.n1 - 1) * gap
+def _default_top(alpha_L: Rational, g: int, alpha_m: Rational) -> Rational:
+    """Default horizon max(alpha_L, 2g-2, alpha_m) + 1 for n1 = n2."""
+    return max(alpha_L, Fraction(2 * g - 2), alpha_m) + 1
 
 
 def enumerate_walls(
@@ -213,18 +204,19 @@ def enumerate_walls(
     """
     require_ranks(T, "enumerate_walls")
     rng = alpha_range(T)
+    aL = _alpha_L_equal_ranks(T.n1, rng.lo) if T.n1 == T.n2 else None
     if interval is None:
         if rng.empty:
             return ()
         lo = rng.lo
-        if T.n1 == T.n2:
+        if aL is not None:
             if g is None:
                 raise DomainError(
                     "the wall set for n1 = n2 is unbounded; pass an explicit "
                     "interval or g for the default horizon max(alpha_L, 2g-2, alpha_m)+1"
                 )
             require_int("genus", g, 2)
-            hi = max(_alpha_L_equal_ranks(T), Fraction(2 * g - 2), lo) + 1
+            hi = _default_top(aL, g, lo)
         else:
             assert rng.hi is not None
             hi = rng.hi
@@ -249,12 +241,10 @@ def enumerate_walls(
         found.pop(rng.lo, None)
         if rng.hi is not None:
             found.pop(rng.hi, None)
-    equal_ranks = T.n1 == T.n2
-    aL = _alpha_L_equal_ranks(T) if equal_ranks else None
     walls = []
     for alpha in sorted(found):
         wits = tuple(WallWitness(*w) for w in sorted(found[alpha]))
-        stab = equal_ranks and aL is not None and alpha > aL
+        stab = aL is not None and alpha > aL
         walls.append(Wall(alpha, wits, stab))
     return tuple(walls)
 
@@ -316,16 +306,14 @@ def chambers(
             "chambers" % (rng.lo,)
         )
     lo = rng.lo
-    equal_ranks = T.n1 == T.n2
-    alpha_L = _alpha_L_equal_ranks(T) if equal_ranks else None
-    if equal_ranks:
+    alpha_L = _alpha_L_equal_ranks(T.n1, lo) if T.n1 == T.n2 else None
+    if alpha_L is not None:
         if cutoff is not None:
             top = Fraction(cutoff)
             if top <= lo:
                 raise DomainError("cutoff must exceed alpha_m = %s" % (lo,))
         else:
-            assert alpha_L is not None
-            top = max(alpha_L, Fraction(2 * g - 2), lo) + 1
+            top = _default_top(alpha_L, g, lo)
         top_is_alpha_M = False
     else:
         assert rng.hi is not None
@@ -339,7 +327,7 @@ def chambers(
     large_flags = []
     for i, (c_lo, c_hi) in enumerate(spans):
         large = i == len(spans) - 1
-        if equal_ranks and alpha_L is not None and c_lo >= alpha_L:
+        if alpha_L is not None and c_lo >= alpha_L:
             large = True
         large_flags.append(large)
     marker_chamber: Optional[int] = None
@@ -406,7 +394,7 @@ def flip_dims(T: TripleType, Tp: TripleType, g: int) -> FlipDims:
     require_ranks(T, "flip_dims", "both ranks of T")
     n1pp = T.n1 - Tp.n1
     n2pp = T.n2 - Tp.n2
-    if Tp.n1 < 0 or Tp.n2 < 0 or n1pp < 0 or n2pp < 0:
+    if n1pp < 0 or n2pp < 0:
         raise DomainError(
             "(C1) violated: complement ranks (%d, %d) must be nonnegative"
             % (n1pp, n2pp)

@@ -3,7 +3,8 @@
 These deliberately share no derivation with the library: walls are
 found by scanning every candidate subtriple over a provably generous
 degree window and keeping exact rational hits, rather than by the
-per-rank-pair monotone interval the library uses. The census region is
+per-rank-pair monotone interval the library uses; alpha_L is the largest
+of those walls, not a ceiling or floor per rank pair. The census region is
 found by testing every cell of a grid against the two half-open strips,
 and a canonical representative by searching a window of translates,
 rather than by the closed-form column walk and floor-division shift.
@@ -34,6 +35,19 @@ def oracle_walls(T, lo, hi):
                 if lo <= alpha <= hi:
                     found.setdefault(alpha, set()).add((n1p, n2p, dp))
     return found
+
+
+def oracle_alpha_L(T):
+    """Stabilization threshold of a type with n1 != n2 and mu1 >= mu2:
+    the largest wall strictly inside (alpha_m, alpha_M), or alpha_m with
+    the fallback flag set when there is none. Returns (alpha_L, flag)."""
+    alpha_m = F(T.d1, T.n1) - F(T.d2, T.n2)
+    alpha_M = (1 + F(T.n1 + T.n2, abs(T.n1 - T.n2))) * alpha_m
+    interior = [a for a in oracle_walls(T, alpha_m, alpha_M)
+                if alpha_m < a < alpha_M]
+    if not interior:
+        return alpha_m, True
+    return max(interior), False
 
 
 def oracle_critical_at_integer(T, m):

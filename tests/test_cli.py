@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, report envelopes, JSON stability."""
 
 import contextlib
+import gc
 import io
 import json
 import signal
@@ -405,6 +406,11 @@ def test_every_argv_exits_zero_one_or_two(argv):
     # The CLI does not bound its work yet (walls over an interval of
     # width 10^8 run unbounded), so a request still running after a
     # quarter second is stopped and discarded rather than waited for.
+    # Garbage collection is off meanwhile: a _Cut raised inside a gc
+    # callback (hypothesis installs one) is swallowed as unraisable and
+    # the request would run on.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     previous = signal.signal(signal.SIGALRM, _cut)
     signal.setitimer(signal.ITIMER_REAL, 0.25)
     try:
@@ -417,4 +423,6 @@ def test_every_argv_exits_zero_one_or_two(argv):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if gc_was_enabled:
+            gc.enable()
     assert code in (0, 1, 2)

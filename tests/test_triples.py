@@ -26,6 +26,8 @@ from triplemoduli import (
     witness_check,
 )
 
+from oracles import oracle_alpha_L
+
 ranks = st.integers(min_value=1, max_value=5)
 degrees = st.integers(min_value=-12, max_value=12)
 genera = st.integers(min_value=2, max_value=5)
@@ -140,6 +142,30 @@ class TestThresholds:
     def test_inverted_slopes_raise(self):
         with pytest.raises(DomainError):
             thresholds(TripleType(2, 1, 0, 5))
+
+    def test_unequal_rank_alpha_L_matches_oracle(self):
+        # Every unequal-rank type with mu1 >= mu2 in the box, input as
+        # given: n1 < n2 goes through the dual, mu1 = mu2 is a one-point
+        # range, and some types have no interior wall at all.
+        seen = {"dualized": 0, "single_point": 0, "no_wall": 0, "wall": 0}
+        for n1 in range(1, 5):
+            for n2 in range(1, 5):
+                if n1 == n2:
+                    continue
+                for d1 in range(-6, 7):
+                    for d2 in range(-6, 7):
+                        gap = F(d1, n1) - F(d2, n2)
+                        if gap < 0:
+                            continue
+                        T = TripleType(n1, n2, d1, d2)
+                        th = thresholds(T)
+                        want = oracle_alpha_L(T)
+                        assert (th.alpha_L, th.alpha_L_is_fallback) == want, T
+                        seen["dualized"] += th.dualized
+                        seen["single_point"] += gap == 0
+                        seen["no_wall"] += want[1] and gap > 0
+                        seen["wall"] += not want[1]
+        assert min(seen.values()) >= 20, seen
 
     @given(triple_types())
     @settings(max_examples=300)
