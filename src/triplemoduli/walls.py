@@ -15,11 +15,19 @@ Euler characteristics chi of the pieces.
 Walls here are arithmetic: every geometric critical value appears, but an
 arithmetic wall need not be realized by an actual strictly semistable
 triple. All outputs are deterministic and exact.
+
+Every wall of a type lies on the lattice (1/L)Z, where L is the lcm of
+|n1' n2 - n1 n2'| over the admissible rank pairs, so the scan keys each
+candidate by its integer numerator k = alpha L and builds one Fraction per
+wall; is_critical tests alpha = p/q by the divisibility of
+p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -198,9 +206,12 @@ def enumerate_walls(
     not a range endpoint stays, which is how (1, 5] style queries behave).
 
     Per admissible rank pair the wall equation is affine and monotone in
-    the degree sum d', so d' runs over one computable integer interval;
-    witnesses sharing an alpha are merged. Output is independent of scan
-    order.
+    the degree sum d', so d' runs over one computable integer interval.
+    Each candidate is keyed by the integer k = alpha L on the common
+    lattice (1/L)Z of the type's walls; witnesses sharing an alpha are
+    merged, one Fraction k/L is built per wall, and witnesses come out in
+    (n1', n2', d') order because rank pairs are scanned in that order and
+    each pair meets a wall at most once.
     """
     require_ranks(T, "enumerate_walls")
     rng = alpha_range(T)
@@ -227,26 +238,35 @@ def enumerate_walls(
             raise DomainError("interval lo > hi")
     n = T.total_rank
     D = T.total_degree
-    found: dict[Fraction, set[tuple[int, int, int]]] = {}
-    for n1p, n2p, det in _admissible_rank_pairs(T):
-        npr = n1p + n2p
-        b1 = lo * det + npr * D
-        b2 = hi * det + npr * D
-        if b1 > b2:
-            b1, b2 = b2, b1
-        for dp in range(math.ceil(b1 / n), math.floor(b2 / n) + 1):
-            alpha = Fraction(n * dp - npr * D, det)
-            found.setdefault(alpha, set()).add((n1p, n2p, dp))
+    pairs = list(_admissible_rank_pairs(T))
+    L = math.lcm(*(abs(det) for _, _, det in pairs))
+    lp, lq = lo.numerator, lo.denominator
+    hp, hq = hi.numerator, hi.denominator
+    found: dict[int, list[WallWitness]] = defaultdict(list)
+    for n1p, n2p, det in pairs:
+        c = (n1p + n2p) * D
+        # d' runs between (lo det + c)/n and (hi det + c)/n
+        b1, q1 = lp * det + lq * c, lq * n
+        b2, q2 = hp * det + hq * c, hq * n
+        if det < 0:
+            b1, q1, b2, q2 = b2, q2, b1, q1
+        dps = range(-(-b1 // q1), b2 // q2 + 1)
+        # alpha = (n d' - c)/det = k/L with k = (n d' - c)(L/det)
+        scale = L // det
+        step, off = n * scale, c * scale
+        keys = range(dps.start * step - off, dps.stop * step - off, step)
+        for dp, k in zip(dps, keys):
+            found[k].append(WallWitness(n1p, n2p, dp))
     if not include_endpoints:
-        found.pop(rng.lo, None)
+        # a key equals e L only when e L is an integer
+        found.pop(rng.lo * L, None)
         if rng.hi is not None:
-            found.pop(rng.hi, None)
-    walls = []
-    for alpha in sorted(found):
-        wits = tuple(WallWitness(*w) for w in sorted(found[alpha]))
-        stab = aL is not None and alpha > aL
-        walls.append(Wall(alpha, wits, stab))
-    return tuple(walls)
+            found.pop(rng.hi * L, None)
+    kL = math.floor(aL * L) if aL is not None else None
+    return tuple(
+        Wall(Fraction(k, L), tuple(found[k]), kL is not None and k > kL)
+        for k in sorted(found)
+    )
 
 
 def is_critical(T: TripleType, alpha: Rational) -> WallTest:
@@ -258,15 +278,16 @@ def is_critical(T: TripleType, alpha: Rational) -> WallTest:
     """
     require_ranks(T, "is_critical")
     a = Fraction(alpha)
+    p, q = a.numerator, a.denominator
     n = T.total_rank
     D = T.total_degree
-    wits = set()
+    # d' = (p det + q (n1'+n2') D)/(q n) must be an integer
+    witnesses = []
     for n1p, n2p, det in _admissible_rank_pairs(T):
-        dp = (a * det + (n1p + n2p) * D) / n
-        if dp.denominator == 1:
-            wits.add((n1p, n2p, int(dp)))
-    witnesses = tuple(WallWitness(*w) for w in sorted(wits))
-    return WallTest(a, bool(witnesses), witnesses)
+        dp, r = divmod(p * det + q * (n1p + n2p) * D, q * n)
+        if r == 0:
+            witnesses.append(WallWitness(n1p, n2p, dp))
+    return WallTest(a, bool(witnesses), tuple(witnesses))
 
 
 def integer_genericity(T: TripleType, m: int) -> GenericityFacts:
@@ -319,17 +340,21 @@ def chambers(
         assert rng.hi is not None
         top = rng.hi
         top_is_alpha_M = True
-    all_walls = enumerate_walls(T, interval=(lo, top))
-    separators = tuple(w for w in all_walls if lo < w.alpha < top)
-    bounds = [lo] + [w.alpha for w in separators] + [top]
+    # enumerate_walls already drops lo = alpha_m; of the window edges only
+    # an equal-rank cutoff can come back as a wall
+    walls = enumerate_walls(T, interval=(lo, top))
+    if walls and walls[-1].alpha == top:
+        walls = walls[:-1]
+    alphas = [w.alpha for w in walls]
+    bounds = [lo] + alphas + [top]
+    last = len(alphas)
+    # chambers first_large.. are large: the last one, and for n1 = n2 all
+    # those starting at or above alpha_L
+    first_large = last
+    if alpha_L is not None:
+        first_large = min(bisect.bisect_left(bounds, alpha_L), last)
     marker = Fraction(2 * g - 2)
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    large_flags = []
-    for i, (c_lo, c_hi) in enumerate(spans):
-        large = i == len(spans) - 1
-        if alpha_L is not None and c_lo >= alpha_L:
-            large = True
-        large_flags.append(large)
+    at = bisect.bisect_left(alphas, marker)
     marker_chamber: Optional[int] = None
     if marker < lo:
         status = "below_range"
@@ -339,30 +364,27 @@ def chambers(
         status = "at_alpha_M"
     elif marker > top:
         status = "above_range"
-    elif any(marker == w.alpha for w in separators):
+    elif at < last and alphas[at] == marker:
         status = "on_wall"
     else:
         status = "inside"
-        for i, (c_lo, c_hi) in enumerate(spans):
-            if c_lo < marker < c_hi:
-                marker_chamber = i
-                break
+        if marker < top:
+            marker_chamber = at
     chamber_objs = tuple(
         Chamber(
-            lo=c_lo,
-            hi=c_hi,
+            lo=bounds[i],
+            hi=bounds[i + 1],
             contains_2g_minus_2=(marker_chamber == i),
-            is_large_chamber=large_flags[i],
+            is_large_chamber=i >= first_large,
         )
-        for i, (c_lo, c_hi) in enumerate(spans)
+        for i in range(last + 1)
     )
     flips: Optional[int] = None
     if marker_chamber is not None:
-        large_idx = [i for i, f in enumerate(large_flags) if f]
-        flips = min(abs(i - marker_chamber) for i in large_idx)
+        flips = max(first_large - marker_chamber, 0)
     return ChamberReport(
         chambers=chamber_objs,
-        walls=separators,
+        walls=walls,
         alpha_m=lo,
         top=top,
         top_is_alpha_M=top_is_alpha_M,

@@ -3,8 +3,10 @@
 These deliberately share no derivation with the library: walls are
 found by scanning every candidate subtriple over a provably generous
 degree window and keeping exact rational hits, rather than by the
-per-rank-pair monotone interval the library uses; alpha_L is the largest
-of those walls, not a ceiling or floor per rank pair. The census region is
+per-rank-pair monotone interval and integer lattice keys the library
+uses; criticality at one alpha divides Fractions instead of testing
+integer divisibility; alpha_L is the largest of those walls, not a
+ceiling or floor per rank pair. The census region is
 found by testing every cell of a grid against the two half-open strips,
 and a canonical representative by searching a window of translates,
 rather than by the closed-form column walk and floor-division shift.
@@ -48,6 +50,26 @@ def oracle_alpha_L(T):
     if not interior:
         return alpha_m, True
     return max(interior), False
+
+
+def oracle_is_critical(T, alpha):
+    """Every admissible (n1', n2', d') solving the wall equation at the
+    rational alpha, sorted."""
+    a = F(alpha)
+    n = T.n1 + T.n2
+    D = T.d1 + T.d2
+    wits = set()
+    for n1p in range(T.n1 + 1):
+        for n2p in range(T.n2 + 1):
+            if (n1p, n2p) == (0, 0):
+                continue
+            det = n1p * T.n2 - T.n1 * n2p
+            if det == 0:
+                continue
+            dp = (a * det + (n1p + n2p) * D) / n
+            if dp.denominator == 1:
+                wits.add((n1p, n2p, int(dp)))
+    return sorted(wits)
 
 
 def oracle_critical_at_integer(T, m):

@@ -5,12 +5,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triplemoduli import (
+    Chamber,
+    ChamberReport,
     DomainError,
     TripleType,
+    Wall,
+    WallTest,
+    WallWitness,
     alpha_range,
     chambers,
     chi,
@@ -23,7 +28,11 @@ from triplemoduli import (
     wall_alpha,
 )
 
-from oracles import oracle_critical_at_integer, oracle_walls
+from oracles import (
+    oracle_critical_at_integer,
+    oracle_is_critical,
+    oracle_walls,
+)
 
 ranks = st.integers(min_value=1, max_value=4)
 degrees = st.integers(min_value=-8, max_value=8)
@@ -38,6 +47,92 @@ def wall_set(walls):
         w.alpha: {(x.n1p, x.n2p, x.dsum) for x in w.witnesses}
         for w in walls
     }
+
+
+def alpha_L_equal(T):
+    rng = alpha_range(T)
+    return T.n1 * (T.n1 - 1) * rng.lo if T.n1 == T.n2 else None
+
+
+def default_window(T, g):
+    rng = alpha_range(T)
+    if T.n1 == T.n2:
+        return rng.lo, max(alpha_L_equal(T), F(2 * g - 2), rng.lo) + 1
+    return rng.lo, rng.hi
+
+
+def oracle_wall_tuple(T, lo, hi, include_endpoints=False):
+    """What enumerate_walls must return for the closed window [lo, hi],
+    built from the brute-force oracle: ascending walls, sorted witnesses,
+    stabilized above alpha_L for n1 = n2."""
+    rng = alpha_range(T)
+    found = oracle_walls(T, lo, hi)
+    if not include_endpoints:
+        found.pop(rng.lo, None)
+        found.pop(rng.hi, None)
+    aL = alpha_L_equal(T)
+    return tuple(
+        Wall(
+            a,
+            tuple(WallWitness(*x) for x in sorted(found[a])),
+            aL is not None and a > aL,
+        )
+        for a in sorted(found)
+    )
+
+
+def reference_chambers(T, g, cutoff=None):
+    """ChamberReport rebuilt from the oracle walls by linear scans."""
+    rng = alpha_range(T)
+    lo = rng.lo
+    aL = alpha_L_equal(T)
+    if aL is None:
+        top = rng.hi
+    elif cutoff is None:
+        top = default_window(T, g)[1]
+    else:
+        top = cutoff
+    walls = tuple(
+        w for w in oracle_wall_tuple(T, lo, top) if lo < w.alpha < top
+    )
+    bounds = [lo] + [w.alpha for w in walls] + [top]
+    spans = list(zip(bounds, bounds[1:]))
+    large = [
+        i == len(spans) - 1 or (aL is not None and c_lo >= aL)
+        for i, (c_lo, _) in enumerate(spans)
+    ]
+    marker = F(2 * g - 2)
+    inside = [i for i, (a, b) in enumerate(spans) if a < marker < b]
+    if marker < lo:
+        status = "below_range"
+    elif marker == lo:
+        status = "at_alpha_m"
+    elif aL is None and marker == top:
+        status = "at_alpha_M"
+    elif marker > top:
+        status = "above_range"
+    elif marker in bounds:
+        status = "on_wall" if marker != top else "inside"
+    else:
+        status = "inside"
+    mc = inside[0] if inside else None
+    flips = None
+    if mc is not None:
+        flips = min(abs(i - mc) for i, f in enumerate(large) if f)
+    return ChamberReport(
+        chambers=tuple(
+            Chamber(a, b, mc == i, large[i]) for i, (a, b) in enumerate(spans)
+        ),
+        walls=walls,
+        alpha_m=lo,
+        top=top,
+        top_is_alpha_M=aL is None,
+        alpha_L=aL,
+        marker=marker,
+        marker_status=status,
+        marker_chamber=mc,
+        flips_to_large=flips,
+    )
 
 
 class TestEnumerateWalls:
@@ -92,15 +187,8 @@ class TestEnumerateWalls:
         if rng.empty:
             assert enumerate_walls(T, g=2) == ()
             return
-        if T.n1 == T.n2:
-            walls = enumerate_walls(T, g=2)
-            hi = max(
-                T.n1 * (T.n1 - 1) * rng.lo, F(2 * 2 - 2), rng.lo
-            ) + 1
-        else:
-            walls = enumerate_walls(T)
-            hi = rng.hi
-        expected = oracle_walls(T, rng.lo, hi)
+        walls = enumerate_walls(T, g=2)
+        expected = oracle_walls(T, *default_window(T, 2))
         expected.pop(rng.lo, None)
         if rng.hi is not None:
             expected.pop(rng.hi, None)
@@ -125,9 +213,63 @@ class TestEnumerateWalls:
         if alpha_range(T).empty:
             return
         for w in enumerate_walls(T, g=2):
-            assert is_critical(T, w.alpha).critical
+            test = is_critical(T, w.alpha)
+            assert test.critical and test.witnesses == w.witnesses
             for x in w.witnesses:
                 assert wall_alpha(T, x.n1p, x.n2p, x.dsum) == w.alpha
+
+
+class TestWallTupleAgainstOracle:
+    """Whole Wall tuples, so alpha order, witness order and the
+    stabilized flags are checked, not just the wall sets."""
+
+    @given(triple_types(), st.integers(2, 4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_default_window(self, T, g, include_endpoints):
+        if alpha_range(T).empty:
+            return
+        walls = enumerate_walls(T, include_endpoints=include_endpoints, g=g)
+        expected = oracle_wall_tuple(
+            T, *default_window(T, g), include_endpoints
+        )
+        assert walls == expected
+
+    @given(
+        triple_types(),
+        st.integers(0, 120),
+        st.integers(0, 480),
+        st.sampled_from([17, 19, 23]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_explicit_interval_off_the_lattice(
+        self, T, below, above, den, include_endpoints
+    ):
+        # For ranks <= 4 every |n1' n2 - n1 n2'| is at most 16, so these
+        # edges are off the lattice (1/L)Z unless den divides the offset.
+        lo = alpha_range(T).lo
+        window = (lo - F(below, den), lo + F(above, den))
+        walls = enumerate_walls(
+            T, interval=window, include_endpoints=include_endpoints
+        )
+        assert walls == oracle_wall_tuple(T, *window, include_endpoints)
+
+    def test_sampled_larger_ranks(self):
+        rnd = random.Random(88)
+        checked = 0
+        while checked < 40:
+            T = TripleType(
+                rnd.randint(1, 8),
+                rnd.randint(1, 8),
+                rnd.randint(-12, 12),
+                rnd.randint(-12, 12),
+            )
+            if alpha_range(T).empty:
+                continue
+            g = rnd.randint(2, 4)
+            expected = oracle_wall_tuple(T, *default_window(T, g))
+            assert enumerate_walls(T, g=g) == expected
+            checked += 1
 
 
 class TestIsCritical:
@@ -138,6 +280,13 @@ class TestIsCritical:
 
     def test_frozen_noncritical_example(self):
         assert not is_critical(TripleType(2, 1, 4, 1), F(2)).critical
+
+    @given(triple_types(), st.integers(-60, 60), st.integers(1, 24))
+    @settings(max_examples=300)
+    def test_matches_oracle_on_random_rationals(self, T, p, q):
+        a = F(p, q)
+        expected = tuple(WallWitness(*x) for x in oracle_is_critical(T, a))
+        assert is_critical(T, a) == WallTest(a, bool(expected), expected)
 
     @given(triple_types(), st.integers(min_value=-10, max_value=10))
     @settings(max_examples=300)
@@ -221,6 +370,23 @@ class TestChambers:
         internal = {c.hi for c in rep.chambers[:-1]}
         assert separators == internal
         assert rep.chambers[-1].is_large_chamber
+
+    @given(
+        triple_types(),
+        st.integers(2, 4),
+        st.one_of(st.none(), st.integers(1, 60)),
+    )
+    @example(TripleType(1, 1, 1, 0), 2, 4)  # cutoff = 2g-2, no wall there
+    @example(TripleType(1, 1, 1, 0), 2, 8)  # cutoff on the wall alpha = 3
+    @settings(max_examples=200, deadline=None)
+    def test_chambers_match_the_linear_reference(self, T, g, cut):
+        rng = alpha_range(T)
+        if rng.empty or rng.single_point:
+            return
+        # cutoffs at walls, at 2g-2 and between them, equal ranks only
+        cutoff = None if cut is None or T.n1 != T.n2 else rng.lo + F(cut, 4)
+        expected = reference_chambers(T, g, cutoff)
+        assert chambers(T, g, cutoff) == expected
 
 
 class TestFlipDims:
