@@ -2,22 +2,30 @@
 
 Eight subcommands expose the library: triple, walls, chambers, higgs,
 rigidity, morse, census, classify. Every run builds one report
-envelope {command, inputs, outputs, citations, warnings}; --json
-prints it as stable JSON (sorted keys, exact rationals as "num/den"
-strings, infinite endpoints as "inf", absent values as null), the
-default mode prints the same structure as indented text.
+envelope {command, inputs, outputs, citations, warnings} from library
+values; --json prints it as stable JSON (sorted keys, exact rationals
+as "num/den" strings, infinite endpoints as "inf", absent values as
+null), the default mode prints the same structure as indented text.
+One writer per mode (``write_json``, ``write_text``) streams the report
+in a single pass; the JSON writer emits exactly the bytes of
+``json.dumps(jsonable(report), indent=2, sort_keys=True)``.
 
 Exit codes: 0 success, 1 domain error (the message names the violated
-precondition), 2 usage error (unknown flags, malformed values).
+precondition), 2 usage error (unknown flags, malformed values). A
+reader that closes the pipe early (``| head``) also ends the run with
+exit 1, quietly: nothing is printed to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import os
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Optional
 
 from .census import canonicalize, enumerate_region, tau_quotient_facts
@@ -44,7 +52,7 @@ from .triples import (
     thresholds,
     triple_slope,
 )
-from .walls import chambers, enumerate_walls, is_critical
+from .walls import Wall, chambers, enumerate_walls, is_critical
 
 
 def _rational(text: str) -> Fraction:
@@ -132,23 +140,13 @@ def _cmd_walls(args) -> tuple[dict, dict, list]:
         include_endpoints=args.include_endpoints,
         g=args.g,
     )
-    outputs: dict = {
-        "count": len(walls),
-        "walls": [
-            {
-                "alpha": w.alpha,
-                "witnesses": [[x.n1p, x.n2p, x.dsum] for x in w.witnesses],
-                "stabilized": w.stabilized,
-            }
-            for w in walls
-        ],
-    }
+    outputs: dict = {"count": len(walls), "walls": walls}
     if args.alpha is not None:
         test = is_critical(T, args.alpha)
         outputs["alpha_test"] = {
             "alpha": test.alpha,
             "critical": test.critical,
-            "witnesses": [[x.n1p, x.n2p, x.dsum] for x in test.witnesses],
+            "witnesses": [_witness_row(x) for x in test.witnesses],
         }
     return outputs, {}, []
 
@@ -227,11 +225,11 @@ def _cmd_census(args) -> tuple[dict, dict, list]:
     quo = tau_quotient_facts(args.p, args.q)
     outputs: dict = {
         "count": rep.count,
-        "points": [[cp.a, cp.b] for cp in rep.points],
+        "points": [(cp.a, cp.b) for cp in rep.points],
         "coprime_count": len(rep.coprime_points),
-        "coprime_points": [[cp.a, cp.b] for cp in rep.coprime_points],
+        "coprime_points": [(cp.a, cp.b) for cp in rep.coprime_points],
         "lines": {
-            str(t): [[cp.a, cp.b] for cp in line]
+            str(t): [(cp.a, cp.b) for cp in line]
             for t, line in rep.lines.items()
         },
         "points_per_line": quo.k,
@@ -383,52 +381,274 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(value, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines: list[str] = []
+# Report writers. Both read the report straight from library values
+# (Fraction, int, bool, None, str, tuples, lists, dicts and Wall) and
+# stream it through ``write``, ending in a newline. Lists of walls and
+# lists of equal-length int rows, the two shapes that grow with a
+# request, are formatted a batch at a time from one template per shape.
+
+_BATCH = 2048
+_witness_row = attrgetter("n1p", "n2p", "dsum")
+
+
+def _wall_dict(w: Wall) -> dict:
+    """The report form of one wall."""
+    return {
+        "alpha": w.alpha,
+        "witnesses": [_witness_row(x) for x in w.witnesses],
+        "stabilized": w.stabilized,
+    }
+
+
+def _str_keys(d: dict) -> dict:
+    """``d`` with every key passed through ``str``, as ``jsonable`` does:
+    on a collision the first key's place and the last key's value win."""
+    return {str(k): v for k, v in d.items()}
+
+
+def _plain(value):
+    """``jsonable(value)``, with a Wall read as its report dict."""
+    if type(value) is Wall:
+        value = _wall_dict(value)
     if isinstance(value, dict):
-        if not value:
-            lines.append(pad + "(none)")
-        for key, item in value.items():
-            if isinstance(item, dict) and item:
-                lines.append("%s%s:" % (pad, key))
-                lines.extend(_render(item, indent + 1))
-            elif isinstance(item, list) and any(
-                isinstance(x, (dict, list)) for x in item
-            ):
-                lines.append("%s%s:" % (pad, key))
-                lines.extend(_render(item, indent + 1))
-            else:
-                lines.append("%s%s: %s" % (pad, key, _scalar(item)))
-    elif isinstance(value, list):
-        if not value:
-            lines.append(pad + "(none)")
-        for item in value:
-            if isinstance(item, dict):
-                body = _render(item, indent + 1)
-                first = body[0].lstrip() if body else ""
-                lines.append("%s- %s" % (pad, first))
-                lines.extend(body[1:])
-            else:
-                lines.append("%s- %s" % (pad, _scalar(item)))
-    else:
-        lines.append(pad + _scalar(value))
-    return lines
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return jsonable(value)
 
 
-def _scalar(item) -> str:
-    if item is None:
+def _shape(seq):
+    """Bulk shape of a non-empty sequence: Wall for a list of walls, the
+    row length for a list of int rows of one length, else None."""
+    kinds = set(map(type, seq))
+    if kinds == {Wall}:
+        return Wall
+    if not kinds <= {list, tuple}:
+        return None
+    lengths = set(map(len, seq))
+    if len(lengths) != 1 or 0 in lengths:
+        return None
+    if set(map(type, chain.from_iterable(seq))) != {int}:
+        return None
+    return lengths.pop()
+
+
+def _write_batched(write, seq, render, sep: str) -> None:
+    """write ``sep.join(render(seq))``, a batch of items at a time."""
+    for i in range(0, len(seq), _BATCH):
+        if i:
+            write(sep)
+        write(sep.join(render(seq[i:i + _BATCH])))
+
+
+def _json_scalar(value) -> str:
+    if value is None:
         return "null"
-    if item is True:
+    if value is True:
         return "true"
-    if item is False:
+    if value is False:
         return "false"
-    if isinstance(item, list):
-        return "[%s]" % ", ".join(_scalar(x) for x in item)
-    return str(item)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return "%d" % value.numerator
+        return '"%d/%d"' % (value.numerator, value.denominator)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    raise TypeError("cannot serialize %r" % (type(value),))
+
+
+def _json_rows(r: int, pad: str):
+    """Renderer of int rows of length r as JSON list items at ``pad``."""
+    inner = pad + "  "
+    row = "%s[\n%s%s\n%s]" % (pad, inner, (",\n" + inner).join(["%d"] * r), pad)
+    return lambda rows: map(row.__mod__, map(tuple, rows))
+
+
+def _json_walls(pad: str):
+    """Renderer of walls as JSON list items at ``pad``."""
+    p1 = pad + "  "
+    head = '%s{\n%s"alpha": ' % (pad, p1)
+    mid = {
+        flag: ',\n%s"stabilized": %s,\n%s"witnesses": ' % (p1, word, p1)
+        for flag, word in ((False, "false"), (True, "true"))
+    }
+    rows = _json_rows(3, p1 + "  ")
+    tail = "\n%s]\n%s}" % (p1, pad)
+
+    def render(walls):
+        for w in walls:
+            body = ",\n".join(rows(map(_witness_row, w.witnesses)))
+            yield "%s%s%s%s" % (
+                head,
+                _json_scalar(w.alpha),
+                mid[w.stabilized],
+                "[\n" + body + tail if body else "[]\n%s}" % pad,
+            )
+
+    return render
+
+
+def _write_json(value, write, pad: str) -> None:
+    if type(value) is Wall:
+        value = _wall_dict(value)
+    if isinstance(value, dict):
+        value = _str_keys(value)
+        if not value:
+            write("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n"
+        for key in sorted(value):
+            write("%s%s%s: " % (sep, inner, encode_basestring_ascii(key)))
+            _write_json(value[key], write, inner)
+            sep = ",\n"
+        write("\n%s}" % pad)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = pad + "  "
+        write("[\n")
+        shape = _shape(value)
+        if shape is Wall:
+            _write_batched(write, value, _json_walls(inner), ",\n")
+        elif shape:
+            _write_batched(write, value, _json_rows(shape, inner), ",\n")
+        else:
+            for i, item in enumerate(value):
+                write(",\n" + inner if i else inner)
+                _write_json(item, write, inner)
+        write("\n%s]" % pad)
+    else:
+        write(_json_scalar(value))
+
+
+def write_json(value, write) -> None:
+    """Stream ``value`` as ``json.dumps(jsonable(value), indent=2,
+    sort_keys=True)`` plus a newline, through ``write``."""
+    _write_json(value, write, "")
+    write("\n")
+
+
+def _text_scalar(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ", ".join(map(_text_scalar, value))
+    if isinstance(value, (dict, Wall)):
+        # a dict on one line prints as the Python literal of its JSON form
+        return str(_plain(value))
+    if isinstance(value, (int, Fraction, str)):
+        return str(value)
+    raise TypeError("cannot serialize %r" % (type(value),))
+
+
+def _text_rows(r: int, pad: str):
+    """Renderer of int rows of length r as text list lines at ``pad``."""
+    line = "%s- [%s]\n" % (pad, ", ".join(["%d"] * r))
+    return lambda rows: map(line.__mod__, map(tuple, rows))
+
+
+def _text_walls(pad: str):
+    """Renderer of walls as text list lines at ``pad``."""
+    head = pad + "- alpha: "
+    rows = _text_rows(3, pad + "    ")
+    label = "\n%s  witnesses:" % pad
+    tail = {
+        flag: "%s  stabilized: %s\n" % (pad, word)
+        for flag, word in ((False, "false"), (True, "true"))
+    }
+
+    def render(walls):
+        for w in walls:
+            body = "".join(rows(map(_witness_row, w.witnesses)))
+            yield "%s%s%s%s%s" % (
+                head,
+                w.alpha,
+                label,
+                "\n" + body if body else " []\n",
+                tail[w.stabilized],
+            )
+
+    return render
+
+
+_NESTED = (dict, list, tuple, Wall)
+
+
+def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
+    """Write ``value`` as text lines at ``pad``. A dict that is a list
+    item gets ``lead`` ("<pad>- ") in front of its first line, whose own
+    leading whitespace is dropped."""
+    if type(value) is Wall:
+        value = _wall_dict(value)
+    if isinstance(value, dict):
+        value = _str_keys(value)
+        if not value:
+            write((pad if lead is None else lead) + "(none)\n")
+        for key, item in value.items():
+            nested = (
+                type(item) is Wall
+                or isinstance(item, dict) and item
+                or isinstance(item, (list, tuple))
+                and any(isinstance(x, _NESTED) for x in item)
+            )
+            line = "%s:" % key if nested else "%s: %s" % (key, _text_scalar(item))
+            write(pad + line + "\n" if lead is None else lead + line.lstrip() + "\n")
+            lead = None
+            if nested:
+                _write_text(item, write, pad + "  ")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write(pad + "(none)\n")
+            return
+        shape = _shape(value)
+        if shape is Wall:
+            _write_batched(write, value, _text_walls(pad), "")
+        elif shape:
+            _write_batched(write, value, _text_rows(shape, pad), "")
+        else:
+            for item in value:
+                if isinstance(item, (dict, Wall)):
+                    _write_text(item, write, pad + "  ", lead=pad + "- ")
+                else:
+                    write("%s- %s\n" % (pad, _text_scalar(item)))
+    else:
+        write(pad + _text_scalar(value) + "\n")
+
+
+def write_text(value, write) -> None:
+    """Stream ``value`` as indented text lines through ``write``: dict
+    entries as "key: value" and list items as "- item". A non-empty dict,
+    or a list holding containers, goes one level deeper under its key;
+    anything else is inline, written as in JSON but with strings
+    unquoted. A dict or list not written inline that is empty is
+    "(none)"."""
+    _write_text(value, write, "")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        # flush inside the try, so a closed pipe is caught here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. ``| head``). Point stdout at devnull
+        # so the flush at interpreter exit cannot fail again, and exit 1
+        # quietly, as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -447,15 +667,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     report = {
         "command": args.command,
-        "inputs": jsonable(inputs),
-        "outputs": jsonable(outputs),
-        "citations": jsonable(citations),
+        "inputs": inputs,
+        "outputs": outputs,
+        "citations": citations,
         "warnings": list(warnings),
     }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("\n".join(_render(report)))
+    (write_json if args.json else write_text)(report, sys.stdout.write)
     return 0
 
 

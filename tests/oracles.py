@@ -10,9 +10,17 @@ ceiling or floor per rank pair. The census region is
 found by testing every cell of a grid against the two half-open strips,
 and a canonical representative by searching a window of translates,
 rather than by the closed-form column walk and floor-division shift.
+The CLI report is built the way the CLI first built it, in three steps
+(a dict per wall, ``jsonable`` over the whole tree, then ``json.dumps``
+or a renderer of the converted tree), rather than by one streaming
+writer over the library values.
 """
 
+import json
 from fractions import Fraction as F
+
+from triplemoduli.cli import build_parser
+from triplemoduli.rationals import jsonable
 
 
 def oracle_walls(T, lo, hi):
@@ -150,3 +158,83 @@ def oracle_canonical(p, q, g, a, b):
         for l in range(lo, hi + 1)
         if oracle_member(p, q, g, a + l * p, b + l * q)
     ]
+
+
+def oracle_render(value, indent=0):
+    """Text lines of a ``jsonable`` tree: dict entries as "key: value",
+    list items as "- item", nested containers one level deeper."""
+    pad = "  " * indent
+    lines = []
+    if isinstance(value, dict):
+        if not value:
+            lines.append(pad + "(none)")
+        for key, item in value.items():
+            if isinstance(item, dict) and item:
+                lines.append("%s%s:" % (pad, key))
+                lines.extend(oracle_render(item, indent + 1))
+            elif isinstance(item, list) and any(
+                isinstance(x, (dict, list)) for x in item
+            ):
+                lines.append("%s%s:" % (pad, key))
+                lines.extend(oracle_render(item, indent + 1))
+            else:
+                lines.append("%s%s: %s" % (pad, key, _oracle_scalar(item)))
+    elif isinstance(value, list):
+        if not value:
+            lines.append(pad + "(none)")
+        for item in value:
+            if isinstance(item, dict):
+                body = oracle_render(item, indent + 1)
+                first = body[0].lstrip() if body else ""
+                lines.append("%s- %s" % (pad, first))
+                lines.extend(body[1:])
+            else:
+                lines.append("%s- %s" % (pad, _oracle_scalar(item)))
+    else:
+        lines.append(pad + _oracle_scalar(value))
+    return lines
+
+
+def _oracle_scalar(item):
+    if item is None:
+        return "null"
+    if item is True:
+        return "true"
+    if item is False:
+        return "false"
+    if isinstance(item, list):
+        return "[%s]" % ", ".join(_oracle_scalar(x) for x in item)
+    return str(item)
+
+
+def oracle_report(argv):
+    """stdout of a successful CLI request, built in three steps: a dict
+    per wall, ``jsonable`` over the whole envelope, then ``json.dumps``
+    with ``--json`` or ``oracle_render`` without."""
+    args = build_parser().parse_args(argv)
+    outputs, citations, warnings = args.handler(args)
+    if args.command == "walls":
+        outputs["walls"] = [
+            {
+                "alpha": w.alpha,
+                "witnesses": [[x.n1p, x.n2p, x.dsum] for x in w.witnesses],
+                "stabilized": w.stabilized,
+            }
+            for w in outputs["walls"]
+        ]
+    inputs = {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "handler", "json")
+        and value is not None and value is not False
+    }
+    report = jsonable({
+        "command": args.command,
+        "inputs": inputs,
+        "outputs": outputs,
+        "citations": citations,
+        "warnings": list(warnings),
+    })
+    if args.json:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return "\n".join(oracle_render(report)) + "\n"

@@ -4,7 +4,10 @@ import contextlib
 import gc
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, reject, settings
@@ -93,6 +96,30 @@ class TestExitCodes:
         )
         assert code == 1
         assert "genus" in err
+
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_reader_closing_the_pipe_is_exit_one_without_a_traceback(
+        self, mode
+    ):
+        # The report (about 0.5 MB as text, 1.2 MB as JSON) outgrows any
+        # pipe buffer, so the writer is mid-report when the pipe closes.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        argv = [
+            sys.executable, "-m", "triplemoduli.cli", "walls", "--n1", "5",
+            "--n2", "3", "--d1", "310", "--d2", "-310", *mode,
+        ]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert head.startswith(b"{" if mode else b"command: walls")
+        assert (code, err) == (1, b"")
 
 
 class TestEnvelope:

@@ -1,0 +1,141 @@
+"""The CLI report writers against the three-step serializers they replace.
+
+``write_json`` must emit exactly ``json.dumps(jsonable(tree), indent=2,
+sort_keys=True)`` and ``write_text`` exactly the lines of
+``oracle_render(jsonable(tree))``, on whole CLI reports and on random
+trees of every value kind a report can hold.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_render, oracle_report
+from triplemoduli.cli import main, write_json, write_text
+from triplemoduli.rationals import jsonable
+from triplemoduli.walls import Wall, WallWitness
+
+_T = ("--n1", "--n2", "--d1", "--d2")
+
+
+def _flags(names, values):
+    return [x for pair in zip(names, map(str, values)) for x in pair]
+
+
+ARGVS = [
+    ["walls", *_flags(_T, (2, 1, 4, 1))],
+    ["walls", *_flags(_T, (3, 2, 7, -2)), "--alpha", "5/2"],
+    ["walls", *_flags(_T, (3, 2, 7, -2)), "--alpha", "1/7"],
+    ["walls", *_flags(_T, (2, 2, 3, 0)), "--g", "3"],
+    ["walls", *_flags(_T, (3, 3, 5, -4)), "--g", "2",
+     "--interval", "-1", "17/2", "--include-endpoints"],
+    ["walls", *_flags(_T, (2, 1, 4, 1)), "--interval", "3", "7/2"],
+    ["chambers", *_flags(_T, (3, 2, 7, -2)), "--g", "3"],
+    ["chambers", *_flags(_T, (2, 2, 3, 0)), "--g", "2", "--cutoff", "9/2"],
+    ["census", "--p", "2", "--q", "3", "--g", "2"],
+    ["census", "--p", "3", "--q", "3", "--g", "3", "--a", "-4", "--b", "2"],
+    ["walls", *_flags(_T, (5, 3, 300, -300))],
+    ["census", "--p", "5", "--q", "5", "--g", "7"],
+]
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_report_matches_the_three_step_oracle(argv, mode):
+    assert stdout_of(argv + mode) == oracle_report(argv + mode)
+
+
+def written(writer, tree):
+    out = io.StringIO()
+    writer(tree, out.write)
+    return out.getvalue()
+
+
+def unwalled(tree):
+    """``tree`` with every Wall replaced by its report dict."""
+    if isinstance(tree, Wall):
+        return {
+            "alpha": tree.alpha,
+            "witnesses": [[x.n1p, x.n2p, x.dsum] for x in tree.witnesses],
+            "stabilized": tree.stabilized,
+        }
+    if isinstance(tree, dict):
+        return {k: unwalled(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [unwalled(v) for v in tree]
+    return tree
+
+
+_ints = st.integers(-(10**20), 10**20) | st.integers(-3, 3)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | _ints
+    | st.fractions(max_denominator=12)
+    | st.text(max_size=6)
+    | st.sampled_from(["", " x", "\t", "\x00\x1f", "caf\xe9", "☃ \U0001f600", "a\nb"])
+)
+# keys that print alike: 1 and "1", True and "True", None and "None"
+_keys = (
+    st.text(max_size=4)
+    | st.integers(-12, 12)
+    | st.sampled_from(["1", "-1", "True", "None", "1/2", " ", "", " k"])
+    | st.booleans()
+    | st.none()
+    | st.fractions(max_denominator=3)
+)
+_walls = st.builds(
+    Wall,
+    st.fractions(max_denominator=6),
+    st.lists(st.builds(WallWitness, _ints, _ints, _ints), max_size=3).map(tuple),
+    st.booleans(),
+)
+_rows = st.integers(1, 3).flatmap(
+    lambda r: st.lists(
+        st.lists(_ints, min_size=r, max_size=r).map(tuple)
+        | st.lists(_ints, min_size=r, max_size=r),
+        min_size=1, max_size=4,
+    )
+)
+# a list item dict whose first key starts with whitespace loses it in text
+_LEADING_SPACE = [{" k": 1, "j": [(1, 2)]}, ({"\t": {}},), [{}]]
+trees = st.recursive(
+    _scalars | _walls | _rows,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_keys, kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees)
+@example(_LEADING_SPACE)
+def test_json_writer_matches_json_dumps(tree):
+    expected = json.dumps(jsonable(unwalled(tree)), indent=2, sort_keys=True)
+    assert written(write_json, tree) == expected + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees)
+@example(_LEADING_SPACE)
+def test_text_writer_matches_the_renderer(tree):
+    expected = "\n".join(oracle_render(jsonable(unwalled(tree))))
+    assert written(write_text, tree) == expected + "\n"
+
+
+@pytest.mark.parametrize("writer", [write_json, write_text])
+def test_writers_refuse_what_jsonable_refuses(writer):
+    with pytest.raises(TypeError):
+        written(writer, {"x": [1.5]})
