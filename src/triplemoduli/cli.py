@@ -10,6 +10,13 @@ One writer per mode (``write_json``, ``write_text``) streams the report
 in a single pass; the JSON writer emits exactly the bytes of
 ``json.dumps(jsonable(report), indent=2, sort_keys=True)``.
 
+Imports are deferred: each subcommand's handler imports the math
+modules it calls when it runs, and a usage error imports none. Most of
+a small request is interpreter start-up and imports, and defining the
+frozen result dataclasses is most of the cost of importing a math
+module, so a request defines only the dataclasses it uses. The writers
+recognize a ``Wall`` without importing ``walls``.
+
 Exit codes: 0 success, 1 domain error (the message names the violated
 precondition), 2 usage error (unknown flags, malformed values). A
 reader that closes the pipe early (``| head``) also ends the run with
@@ -28,31 +35,8 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Optional
 
-from .census import canonicalize, enumerate_region, tau_quotient_facts
-from .classify import classify
 from .errors import DomainError
-from .higgs import (
-    HiggsType,
-    coprime_smooth,
-    expected_dim,
-    minima_triple_type,
-    mw_relations,
-    rigidity,
-    toledo,
-    vanishing_pattern,
-)
-from .morse import MORSE_NEGATIVE_ADVISORY, HodgeChain, dim_h1_weight, morse_index, uk_profile
 from .rationals import jsonable, parse_rat
-from .triples import (
-    TripleType,
-    alpha_range,
-    alpha_slope,
-    dim_stable_moduli,
-    fibration_dims,
-    thresholds,
-    triple_slope,
-)
-from .walls import Wall, chambers, enumerate_walls, is_critical
 
 
 def _rational(text: str) -> Fraction:
@@ -101,6 +85,16 @@ def _wire(obj, drop=()) -> dict:
 
 
 def _cmd_triple(args) -> tuple[dict, dict, list]:
+    from .triples import (
+        TripleType,
+        alpha_range,
+        alpha_slope,
+        dim_stable_moduli,
+        fibration_dims,
+        thresholds,
+        triple_slope,
+    )
+
     T = TripleType(args.n1, args.n2, args.d1, args.d2)
     # alpha_range refuses a zero rank before the slopes divide by it
     rng = alpha_range(T)
@@ -132,6 +126,9 @@ def _cmd_triple(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_walls(args) -> tuple[dict, dict, list]:
+    from .triples import TripleType
+    from .walls import enumerate_walls, is_critical
+
     T = TripleType(args.n1, args.n2, args.d1, args.d2)
     interval = tuple(args.interval) if args.interval is not None else None
     walls = enumerate_walls(
@@ -152,6 +149,9 @@ def _cmd_walls(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_chambers(args) -> tuple[dict, dict, list]:
+    from .triples import TripleType
+    from .walls import chambers
+
     T = TripleType(args.n1, args.n2, args.d1, args.d2)
     rep = chambers(T, args.g, cutoff=args.cutoff)
     outputs = {
@@ -170,6 +170,16 @@ def _cmd_chambers(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_higgs(args) -> tuple[dict, dict, list]:
+    from .higgs import (
+        HiggsType,
+        coprime_smooth,
+        expected_dim,
+        minima_triple_type,
+        mw_relations,
+        toledo,
+        vanishing_pattern,
+    )
+
     H = HiggsType(args.p, args.q, args.a, args.b, args.g)
     mw = mw_relations(H)
     outputs = {
@@ -189,12 +199,22 @@ def _cmd_higgs(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_rigidity(args) -> tuple[dict, dict, list]:
+    from .higgs import HiggsType, rigidity
+
     H = HiggsType(args.p, args.q, args.a, args.b, args.g)
     rep = rigidity(H)
     return _wire(rep, drop=("warnings",)), {}, list(rep.warnings)
 
 
 def _cmd_morse(args) -> tuple[dict, dict, list]:
+    from .morse import (
+        MORSE_NEGATIVE_ADVISORY,
+        HodgeChain,
+        dim_h1_weight,
+        morse_index,
+        uk_profile,
+    )
+
     chain = HodgeChain(args.ranks, args.degrees)
     m = chain.length
     uk = []
@@ -219,6 +239,8 @@ def _cmd_morse(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_census(args) -> tuple[dict, dict, list]:
+    from .census import canonicalize, enumerate_region, tau_quotient_facts
+
     if (args.a is None) != (args.b is None):
         raise DomainError("--a and --b must be given together")
     rep = enumerate_region(args.p, args.q, args.g)
@@ -245,6 +267,9 @@ def _cmd_census(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_classify(args) -> tuple[dict, dict, list]:
+    from .classify import classify
+    from .higgs import HiggsType
+
     H = HiggsType(args.p, args.q, args.a, args.b, args.g)
     v = classify(H)
     outputs = _wire(v, drop=("higgs", "citations", "warnings"))
@@ -389,9 +414,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 _BATCH = 2048
 _witness_row = attrgetter("n1p", "n2p", "dsum")
+_WALLS = __package__ + ".walls"
 
 
-def _wall_dict(w: Wall) -> dict:
+def _is_wall(value) -> bool:
+    """Whether ``value`` is a ``walls.Wall``. The writers do not import
+    the walls module: while it is not loaded, no Wall exists."""
+    walls = sys.modules.get(_WALLS)
+    return walls is not None and type(value) is walls.Wall
+
+
+def _wall_dict(w) -> dict:
     """The report form of one wall."""
     return {
         "alpha": w.alpha,
@@ -408,7 +441,7 @@ def _str_keys(d: dict) -> dict:
 
 def _plain(value):
     """``jsonable(value)``, with a Wall read as its report dict."""
-    if type(value) is Wall:
+    if _is_wall(value):
         value = _wall_dict(value)
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
@@ -418,11 +451,11 @@ def _plain(value):
 
 
 def _shape(seq):
-    """Bulk shape of a non-empty sequence: Wall for a list of walls, the
-    row length for a list of int rows of one length, else None."""
+    """Bulk shape of a non-empty sequence: "walls" for a list of walls,
+    the row length for a list of int rows of one length, else None."""
     kinds = set(map(type, seq))
-    if kinds == {Wall}:
-        return Wall
+    if len(kinds) == 1 and _is_wall(seq[0]):
+        return "walls"
     if not kinds <= {list, tuple}:
         return None
     lengths = set(map(len, seq))
@@ -491,7 +524,7 @@ def _json_walls(pad: str):
 
 
 def _write_json(value, write, pad: str) -> None:
-    if type(value) is Wall:
+    if _is_wall(value):
         value = _wall_dict(value)
     if isinstance(value, dict):
         value = _str_keys(value)
@@ -512,7 +545,7 @@ def _write_json(value, write, pad: str) -> None:
         inner = pad + "  "
         write("[\n")
         shape = _shape(value)
-        if shape is Wall:
+        if shape == "walls":
             _write_batched(write, value, _json_walls(inner), ",\n")
         elif shape:
             _write_batched(write, value, _json_rows(shape, inner), ",\n")
@@ -541,11 +574,11 @@ def _text_scalar(value) -> str:
         return "false"
     if isinstance(value, (list, tuple)):
         return "[%s]" % ", ".join(map(_text_scalar, value))
-    if isinstance(value, (dict, Wall)):
-        # a dict on one line prints as the Python literal of its JSON form
-        return str(_plain(value))
     if isinstance(value, (int, Fraction, str)):
         return str(value)
+    if isinstance(value, dict) or _is_wall(value):
+        # a dict on one line prints as the Python literal of its JSON form
+        return str(_plain(value))
     raise TypeError("cannot serialize %r" % (type(value),))
 
 
@@ -579,14 +612,11 @@ def _text_walls(pad: str):
     return render
 
 
-_NESTED = (dict, list, tuple, Wall)
-
-
 def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
     """Write ``value`` as text lines at ``pad``. A dict that is a list
     item gets ``lead`` ("<pad>- ") in front of its first line, whose own
     leading whitespace is dropped."""
-    if type(value) is Wall:
+    if _is_wall(value):
         value = _wall_dict(value)
     if isinstance(value, dict):
         value = _str_keys(value)
@@ -594,10 +624,10 @@ def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
             write((pad if lead is None else lead) + "(none)\n")
         for key, item in value.items():
             nested = (
-                type(item) is Wall
+                _is_wall(item)
                 or isinstance(item, dict) and item
                 or isinstance(item, (list, tuple))
-                and any(isinstance(x, _NESTED) for x in item)
+                and any(isinstance(x, (dict, list, tuple)) or _is_wall(x) for x in item)
             )
             line = "%s:" % key if nested else "%s: %s" % (key, _text_scalar(item))
             write(pad + line + "\n" if lead is None else lead + line.lstrip() + "\n")
@@ -609,13 +639,13 @@ def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
             write(pad + "(none)\n")
             return
         shape = _shape(value)
-        if shape is Wall:
+        if shape == "walls":
             _write_batched(write, value, _text_walls(pad), "")
         elif shape:
             _write_batched(write, value, _text_rows(shape, pad), "")
         else:
             for item in value:
-                if isinstance(item, (dict, Wall)):
+                if isinstance(item, dict) or _is_wall(item):
                     _write_text(item, write, pad + "  ", lead=pad + "- ")
                 else:
                     write("%s- %s\n" % (pad, _text_scalar(item)))

@@ -1,0 +1,134 @@
+"""Deferred imports: what a fresh interpreter loads, and what the package
+names resolve to, in every import order.
+
+Each case runs in its own interpreter, because a module that any earlier
+test imported stays loaded for the rest of the session.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+MATH = ("census", "classify", "higgs", "morse", "triples", "walls")
+
+# Prints the math modules loaded so far, as a sorted JSON list.
+LOADED = (
+    "import json, sys; print(json.dumps(sorted(m for m in %r "
+    "if 'triplemoduli.' + m in sys.modules)))" % (MATH,)
+)
+
+
+def fresh(code: str) -> str:
+    """stdout of ``python -c code`` in a new interpreter."""
+    path = [SRC, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_after(code: str) -> list:
+    return json.loads(fresh(code + "\n" + LOADED).splitlines()[-1])
+
+
+class TestImportSet:
+    def test_importing_the_package_or_the_cli_loads_no_math_module(self):
+        assert loaded_after("import triplemoduli") == []
+        assert loaded_after("import triplemoduli.cli") == []
+
+    @pytest.mark.parametrize(
+        "argv, code, modules",
+        [
+            ("triple --n1 2 --n2 1 --d1 4 --d2 1 --g 2", 0, ["triples"]),
+            ("walls --n1 2 --n2 1 --d1 4 --d2 1", 0, ["triples", "walls"]),
+            (
+                "chambers --n1 2 --n2 1 --d1 4 --d2 1 --g 2",
+                0,
+                ["triples", "walls"],
+            ),
+            ("higgs --p 2 --q 3 --a 1 --b 1 --g 2", 0, ["higgs", "triples"]),
+            ("rigidity --p 1 --q 2 --a 1 --b 0 --g 2", 0, ["higgs", "triples"]),
+            ("morse --ranks 1,1 --degrees 1,0 --g 2", 0, ["morse"]),
+            ("census --p 1 --q 1 --g 2", 0, ["census"]),
+            (
+                "classify --p 2 --q 3 --a 1 --b 1 --g 2",
+                0,
+                ["classify", "higgs", "triples"],
+            ),
+            ("walls --n1 2 --n2 1 --d1 4 --d2 1/0", 2, []),
+            ("census --p 1", 2, []),
+        ],
+        ids=[
+            "triple", "walls", "chambers", "higgs", "rigidity", "morse",
+            "census", "classify", "usage-malformed", "usage-missing",
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["", " --json"], ids=["text", "json"])
+    def test_a_request_loads_only_the_modules_its_subcommand_uses(
+        self, argv, code, modules, mode
+    ):
+        run = (
+            "import contextlib, io\n"
+            "from triplemoduli.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(%r)\n"
+            "assert code == %d, code\n" % ((argv + mode).split(), code)
+        )
+        assert loaded_after(run) == modules
+
+
+class TestPackageNames:
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "import triplemoduli.classify",
+            "from triplemoduli.classify import Verdict",
+            "from triplemoduli import classify",
+        ],
+    )
+    def test_classify_is_the_function_in_every_import_order(self, first):
+        out = fresh(
+            first + "\n"
+            "import sys, triplemoduli.classify\n"
+            "from triplemoduli import classify\n"
+            "function = sys.modules['triplemoduli.classify'].classify\n"
+            "assert classify is function, classify\n"
+            "assert sys.modules['triplemoduli'].classify is function\n"
+            "print('ok')\n"
+        )
+        assert out == "ok\n"
+
+    def test_a_submodule_name_imports_the_submodule(self):
+        out = fresh(
+            "import sys, triplemoduli\n"
+            "assert 'triplemoduli.walls' not in sys.modules\n"
+            "assert triplemoduli.walls is sys.modules['triplemoduli.walls']\n"
+            "assert triplemoduli.walls.Wall is triplemoduli.Wall\n"
+            "assert not hasattr(triplemoduli, 'no_such_name')\n"
+            "print('ok')\n"
+        )
+        assert out == "ok\n"
+
+    def test_star_import_binds_exactly_all(self):
+        out = fresh(
+            "import sys, triplemoduli\n"
+            "ns = {}\n"
+            "exec('from triplemoduli import *', ns)\n"
+            "del ns['__builtins__']\n"
+            "assert sorted(ns) == sorted(triplemoduli.__all__)\n"
+            "assert len(set(triplemoduli.__all__)) == len(triplemoduli.__all__)\n"
+            "for name, value in ns.items():\n"
+            "    module = sys.modules['triplemoduli.' + triplemoduli._SUBMODULE[name]]\n"
+            "    assert value is getattr(module, name), name\n"
+            "    assert value is getattr(triplemoduli, name), name\n"
+            "assert set(triplemoduli.__all__) <= set(dir(triplemoduli))\n"
+            "print(len(ns))\n"
+        )
+        assert out == "66\n"
