@@ -14,8 +14,10 @@ Imports are deferred: each subcommand's handler imports the math
 modules it calls when it runs, and a usage error imports none. Most of
 a small request is interpreter start-up and imports, and defining the
 frozen result dataclasses is most of the cost of importing a math
-module, so a request defines only the dataclasses it uses. The writers
-recognize a ``Wall`` without importing ``walls``.
+module, so a request defines only the dataclasses it uses. ``walls``
+writes its walls straight from the integer wall scan, as int rows: a
+large request builds no ``Wall``, ``WallWitness`` or ``Fraction`` per
+wall.
 
 Exit codes: 0 success, 1 domain error (the message names the violated
 precondition), 2 usage error (unknown flags, malformed values). A
@@ -26,13 +28,11 @@ exit 1, quietly: nothing is printed to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Optional
 
 from .errors import DomainError
@@ -69,6 +69,9 @@ def _wire(obj, drop=()) -> dict:
     ``_RENAMES``. None in a field named hi or alpha_M is an unbounded
     range endpoint and is written "inf"; any other None stays null.
     """
+    # imported here: a usage error, which calls no handler, never needs it
+    import dataclasses
+
     out = {}
     for f in dataclasses.fields(obj):
         if f.name in drop:
@@ -127,23 +130,23 @@ def _cmd_triple(args) -> tuple[dict, dict, list]:
 
 def _cmd_walls(args) -> tuple[dict, dict, list]:
     from .triples import TripleType
-    from .walls import enumerate_walls, is_critical
+    from .walls import _wall_rows, is_critical
 
     T = TripleType(args.n1, args.n2, args.d1, args.d2)
     interval = tuple(args.interval) if args.interval is not None else None
-    walls = enumerate_walls(
+    walls = _Walls(_wall_rows(
         T,
         interval=interval,
         include_endpoints=args.include_endpoints,
         g=args.g,
-    )
+    ))
     outputs: dict = {"count": len(walls), "walls": walls}
     if args.alpha is not None:
         test = is_critical(T, args.alpha)
         outputs["alpha_test"] = {
             "alpha": test.alpha,
             "critical": test.critical,
-            "witnesses": [_witness_row(x) for x in test.witnesses],
+            "witnesses": [(x.n1p, x.n2p, x.dsum) for x in test.witnesses],
         }
     return outputs, {}, []
 
@@ -407,30 +410,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Report writers. Both read the report straight from library values
-# (Fraction, int, bool, None, str, tuples, lists, dicts and Wall) and
-# stream it through ``write``, ending in a newline. Lists of walls and
-# lists of equal-length int rows, the two shapes that grow with a
-# request, are formatted a batch at a time from one template per shape.
+# (Fraction, int, bool, None, str, tuples, lists, dicts) and walls
+# blocks, and stream it through ``write``, ending in a newline. Walls
+# blocks and lists of equal-length int rows, the two shapes that grow
+# with a request, are formatted a batch at a time from one template per
+# shape.
 
 _BATCH = 2048
-_witness_row = attrgetter("n1p", "n2p", "dsum")
-_WALLS = __package__ + ".walls"
 
 
-def _is_wall(value) -> bool:
-    """Whether ``value`` is a ``walls.Wall``. The writers do not import
-    the walls module: while it is not loaded, no Wall exists."""
-    walls = sys.modules.get(_WALLS)
-    return walls is not None and type(value) is walls.Wall
+class _Walls(list):
+    """The walls of a ``walls`` report, as ``walls._wall_rows`` gives
+    them: one (num, den, rows, stabilized) per wall. Written as the list
+    of {"alpha": num/den, "witnesses": rows, "stabilized": ...}; the
+    writers know the block by its type and format it in batches."""
 
-
-def _wall_dict(w) -> dict:
-    """The report form of one wall."""
-    return {
-        "alpha": w.alpha,
-        "witnesses": [_witness_row(x) for x in w.witnesses],
-        "stabilized": w.stabilized,
-    }
+    def dicts(self) -> list:
+        """The report form of each wall."""
+        return [
+            {
+                "alpha": num if den == 1 else "%d/%d" % (num, den),
+                "witnesses": rows,
+                "stabilized": stabilized,
+            }
+            for num, den, rows, stabilized in self
+        ]
 
 
 def _str_keys(d: dict) -> dict:
@@ -440,9 +444,9 @@ def _str_keys(d: dict) -> dict:
 
 
 def _plain(value):
-    """``jsonable(value)``, with a Wall read as its report dict."""
-    if _is_wall(value):
-        value = _wall_dict(value)
+    """``jsonable(value)``, with a walls block read as its report dicts."""
+    if isinstance(value, _Walls):
+        value = value.dicts()
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -451,12 +455,11 @@ def _plain(value):
 
 
 def _shape(seq):
-    """Bulk shape of a non-empty sequence: "walls" for a list of walls,
-    the row length for a list of int rows of one length, else None."""
-    kinds = set(map(type, seq))
-    if len(kinds) == 1 and _is_wall(seq[0]):
+    """Bulk shape of a non-empty sequence: "walls" for a walls block, the
+    row length for a list of int rows of one length, else None."""
+    if isinstance(seq, _Walls):
         return "walls"
-    if not kinds <= {list, tuple}:
+    if not set(map(type, seq)) <= {list, tuple}:
         return None
     lengths = set(map(len, seq))
     if len(lengths) != 1 or 0 in lengths:
@@ -500,7 +503,7 @@ def _json_rows(r: int, pad: str):
 
 
 def _json_walls(pad: str):
-    """Renderer of walls as JSON list items at ``pad``."""
+    """Renderer of walls block items as JSON list items at ``pad``."""
     p1 = pad + "  "
     head = '%s{\n%s"alpha": ' % (pad, p1)
     mid = {
@@ -511,12 +514,12 @@ def _json_walls(pad: str):
     tail = "\n%s]\n%s}" % (p1, pad)
 
     def render(walls):
-        for w in walls:
-            body = ",\n".join(rows(map(_witness_row, w.witnesses)))
+        for num, den, wits, stabilized in walls:
+            body = ",\n".join(rows(wits))
             yield "%s%s%s%s" % (
                 head,
-                _json_scalar(w.alpha),
-                mid[w.stabilized],
+                "%d" % num if den == 1 else '"%d/%d"' % (num, den),
+                mid[stabilized],
                 "[\n" + body + tail if body else "[]\n%s}" % pad,
             )
 
@@ -524,8 +527,6 @@ def _json_walls(pad: str):
 
 
 def _write_json(value, write, pad: str) -> None:
-    if _is_wall(value):
-        value = _wall_dict(value)
     if isinstance(value, dict):
         value = _str_keys(value)
         if not value:
@@ -572,11 +573,13 @@ def _text_scalar(value) -> str:
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, _Walls):
+        value = value.dicts()
     if isinstance(value, (list, tuple)):
         return "[%s]" % ", ".join(map(_text_scalar, value))
     if isinstance(value, (int, Fraction, str)):
         return str(value)
-    if isinstance(value, dict) or _is_wall(value):
+    if isinstance(value, dict):
         # a dict on one line prints as the Python literal of its JSON form
         return str(_plain(value))
     raise TypeError("cannot serialize %r" % (type(value),))
@@ -589,7 +592,7 @@ def _text_rows(r: int, pad: str):
 
 
 def _text_walls(pad: str):
-    """Renderer of walls as text list lines at ``pad``."""
+    """Renderer of walls block items as text list lines at ``pad``."""
     head = pad + "- alpha: "
     rows = _text_rows(3, pad + "    ")
     label = "\n%s  witnesses:" % pad
@@ -599,14 +602,14 @@ def _text_walls(pad: str):
     }
 
     def render(walls):
-        for w in walls:
-            body = "".join(rows(map(_witness_row, w.witnesses)))
+        for num, den, wits, stabilized in walls:
+            body = "".join(rows(wits))
             yield "%s%s%s%s%s" % (
                 head,
-                w.alpha,
+                "%d" % num if den == 1 else "%d/%d" % (num, den),
                 label,
                 "\n" + body if body else " []\n",
-                tail[w.stabilized],
+                tail[stabilized],
             )
 
     return render
@@ -616,18 +619,15 @@ def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
     """Write ``value`` as text lines at ``pad``. A dict that is a list
     item gets ``lead`` ("<pad>- ") in front of its first line, whose own
     leading whitespace is dropped."""
-    if _is_wall(value):
-        value = _wall_dict(value)
     if isinstance(value, dict):
         value = _str_keys(value)
         if not value:
             write((pad if lead is None else lead) + "(none)\n")
         for key, item in value.items():
             nested = (
-                _is_wall(item)
-                or isinstance(item, dict) and item
+                isinstance(item, dict) and item
                 or isinstance(item, (list, tuple))
-                and any(isinstance(x, (dict, list, tuple)) or _is_wall(x) for x in item)
+                and any(isinstance(x, (dict, list, tuple)) for x in item)
             )
             line = "%s:" % key if nested else "%s: %s" % (key, _text_scalar(item))
             write(pad + line + "\n" if lead is None else lead + line.lstrip() + "\n")
@@ -645,7 +645,7 @@ def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
             _write_batched(write, value, _text_rows(shape, pad), "")
         else:
             for item in value:
-                if isinstance(item, dict) or _is_wall(item):
+                if isinstance(item, dict):
                     _write_text(item, write, pad + "  ", lead=pad + "- ")
                 else:
                     write("%s- %s\n" % (pad, _text_scalar(item)))

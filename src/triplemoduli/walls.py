@@ -20,7 +20,11 @@ Every wall of a type lies on the lattice (1/L)Z, where L is the lcm of
 |n1' n2 - n1 n2'| over the admissible rank pairs, so the scan keys each
 candidate by its integer numerator k = alpha L and builds one Fraction per
 wall; is_critical tests alpha = p/q by the divisibility of
-p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2).
+p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2). The scan
+plan (_wall_plan) is shared: enumerate_walls groups it into Wall and
+WallWitness objects, and the CLI writes walls straight from the same
+integer scan (_wall_rows), as int rows with alpha in lowest terms,
+building no Fraction or dataclass per wall.
 """
 
 from __future__ import annotations
@@ -188,6 +192,75 @@ def _default_top(alpha_L: Rational, g: int, alpha_m: Rational) -> Rational:
     return max(alpha_L, Fraction(2 * g - 2), alpha_m) + 1
 
 
+def _wall_plan(
+    T: TripleType,
+    interval: Optional[tuple[Rational, Rational]],
+    include_endpoints: bool,
+    g: Optional[int],
+) -> tuple[int, Optional[int], list, list]:
+    """The integer scan behind enumerate_walls, before any grouping.
+
+    Validates the window exactly as enumerate_walls documents and returns
+    (L, kL, drop, plan): the lattice denominator L, the key floor(alpha_L
+    L) above which walls are stabilized (None for n1 != n2), the keys of
+    the range endpoints to drop (none with ``include_endpoints``), and one
+    (n1', n2', d'-range, key-range) entry per admissible rank pair, in
+    (n1', n2') order, where the i-th d' meets the wall alpha = k/L with k
+    the i-th key. An empty default range gives an empty plan.
+    """
+    require_ranks(T, "enumerate_walls")
+    rng = alpha_range(T)
+    aL = _alpha_L_equal_ranks(T.n1, rng.lo) if T.n1 == T.n2 else None
+    if interval is None:
+        if rng.empty:
+            return 1, None, [], []
+        lo = rng.lo
+        if aL is not None:
+            if g is None:
+                raise DomainError(
+                    "the wall set for n1 = n2 is unbounded; pass an explicit "
+                    "interval or g for the default horizon max(alpha_L, 2g-2, alpha_m)+1"
+                )
+            require_int("genus", g, 2)
+            hi = _default_top(aL, g, lo)
+        else:
+            assert rng.hi is not None
+            hi = rng.hi
+    else:
+        lo = Fraction(interval[0])
+        hi = Fraction(interval[1])
+        if lo > hi:
+            raise DomainError("interval lo > hi")
+    n = T.total_rank
+    D = T.total_degree
+    pairs = list(_admissible_rank_pairs(T))
+    L = math.lcm(*(abs(det) for _, _, det in pairs))
+    lp, lq = lo.numerator, lo.denominator
+    hp, hq = hi.numerator, hi.denominator
+    plan = []
+    for n1p, n2p, det in pairs:
+        c = (n1p + n2p) * D
+        # d' runs between (lo det + c)/n and (hi det + c)/n
+        b1, q1 = lp * det + lq * c, lq * n
+        b2, q2 = hp * det + hq * c, hq * n
+        if det < 0:
+            b1, q1, b2, q2 = b2, q2, b1, q1
+        dps = range(-(-b1 // q1), b2 // q2 + 1)
+        # alpha = (n d' - c)/det = k/L with k = (n d' - c)(L/det)
+        scale = L // det
+        step, off = n * scale, c * scale
+        keys = range(dps.start * step - off, dps.stop * step - off, step)
+        plan.append((n1p, n2p, dps, keys))
+    drop = []
+    if not include_endpoints:
+        # a key equals e L only when e L is an integer
+        drop.append(rng.lo * L)
+        if rng.hi is not None:
+            drop.append(rng.hi * L)
+    kL = math.floor(aL * L) if aL is not None else None
+    return L, kL, drop, plan
+
+
 def enumerate_walls(
     T: TripleType,
     interval: Optional[tuple[Rational, Rational]] = None,
@@ -213,60 +286,41 @@ def enumerate_walls(
     (n1', n2', d') order because rank pairs are scanned in that order and
     each pair meets a wall at most once.
     """
-    require_ranks(T, "enumerate_walls")
-    rng = alpha_range(T)
-    aL = _alpha_L_equal_ranks(T.n1, rng.lo) if T.n1 == T.n2 else None
-    if interval is None:
-        if rng.empty:
-            return ()
-        lo = rng.lo
-        if aL is not None:
-            if g is None:
-                raise DomainError(
-                    "the wall set for n1 = n2 is unbounded; pass an explicit "
-                    "interval or g for the default horizon max(alpha_L, 2g-2, alpha_m)+1"
-                )
-            require_int("genus", g, 2)
-            hi = _default_top(aL, g, lo)
-        else:
-            assert rng.hi is not None
-            hi = rng.hi
-    else:
-        lo = Fraction(interval[0])
-        hi = Fraction(interval[1])
-        if lo > hi:
-            raise DomainError("interval lo > hi")
-    n = T.total_rank
-    D = T.total_degree
-    pairs = list(_admissible_rank_pairs(T))
-    L = math.lcm(*(abs(det) for _, _, det in pairs))
-    lp, lq = lo.numerator, lo.denominator
-    hp, hq = hi.numerator, hi.denominator
+    L, kL, drop, plan = _wall_plan(T, interval, include_endpoints, g)
     found: dict[int, list[WallWitness]] = defaultdict(list)
-    for n1p, n2p, det in pairs:
-        c = (n1p + n2p) * D
-        # d' runs between (lo det + c)/n and (hi det + c)/n
-        b1, q1 = lp * det + lq * c, lq * n
-        b2, q2 = hp * det + hq * c, hq * n
-        if det < 0:
-            b1, q1, b2, q2 = b2, q2, b1, q1
-        dps = range(-(-b1 // q1), b2 // q2 + 1)
-        # alpha = (n d' - c)/det = k/L with k = (n d' - c)(L/det)
-        scale = L // det
-        step, off = n * scale, c * scale
-        keys = range(dps.start * step - off, dps.stop * step - off, step)
+    for n1p, n2p, dps, keys in plan:
         for dp, k in zip(dps, keys):
             found[k].append(WallWitness(n1p, n2p, dp))
-    if not include_endpoints:
-        # a key equals e L only when e L is an integer
-        found.pop(rng.lo * L, None)
-        if rng.hi is not None:
-            found.pop(rng.hi * L, None)
-    kL = math.floor(aL * L) if aL is not None else None
+    for k in drop:
+        found.pop(k, None)
     return tuple(
         Wall(Fraction(k, L), tuple(found[k]), kL is not None and k > kL)
         for k in sorted(found)
     )
+
+
+def _wall_rows(
+    T: TripleType,
+    interval: Optional[tuple[Rational, Rational]] = None,
+    include_endpoints: bool = False,
+    g: Optional[int] = None,
+) -> list[tuple[int, int, list[tuple[int, int, int]], bool]]:
+    """enumerate_walls in plain ints, for writing: one (num, den, rows,
+    stabilized) per wall, ascending, where num/den is alpha in lowest
+    terms (den > 0) and rows are its witnesses as (n1', n2', d') tuples.
+    Builds no Fraction and no dataclass."""
+    L, kL, drop, plan = _wall_plan(T, interval, include_endpoints, g)
+    found: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for n1p, n2p, dps, keys in plan:
+        for dp, k in zip(dps, keys):
+            found[k].append((n1p, n2p, dp))
+    for k in drop:
+        found.pop(k, None)
+    out = []
+    for k in sorted(found):
+        c = math.gcd(k, L)
+        out.append((k // c, L // c, found[k], kL is not None and k > kL))
+    return out
 
 
 def is_critical(T: TripleType, alpha: Rational) -> WallTest:

@@ -11,9 +11,10 @@ found by testing every cell of a grid against the two half-open strips,
 and a canonical representative by searching a window of translates,
 rather than by the closed-form column walk and floor-division shift.
 The CLI report is built the way the CLI first built it, in three steps
-(a dict per wall, ``jsonable`` over the whole tree, then ``json.dumps``
-or a renderer of the converted tree), rather than by one streaming
-writer over the library values.
+(a dict per ``Wall`` of the public ``enumerate_walls``, ``jsonable`` over
+the whole tree, then ``json.dumps`` or a renderer of the converted
+tree), rather than by one streaming writer over the integer rows of the
+wall scan.
 """
 
 import json
@@ -21,6 +22,8 @@ from fractions import Fraction as F
 
 from triplemoduli.cli import build_parser
 from triplemoduli.rationals import jsonable
+from triplemoduli.triples import TripleType
+from triplemoduli.walls import enumerate_walls
 
 
 def oracle_walls(T, lo, hi):
@@ -209,18 +212,24 @@ def _oracle_scalar(item):
 
 def oracle_report(argv):
     """stdout of a successful CLI request, built in three steps: a dict
-    per wall, ``jsonable`` over the whole envelope, then ``json.dumps``
-    with ``--json`` or ``oracle_render`` without."""
+    per wall of ``enumerate_walls``, ``jsonable`` over the whole envelope,
+    then ``json.dumps`` with ``--json`` or ``oracle_render`` without."""
     args = build_parser().parse_args(argv)
     outputs, citations, warnings = args.handler(args)
     if args.command == "walls":
+        walls = enumerate_walls(
+            TripleType(args.n1, args.n2, args.d1, args.d2),
+            interval=args.interval and tuple(args.interval),
+            include_endpoints=args.include_endpoints,
+            g=args.g,
+        )
         outputs["walls"] = [
             {
                 "alpha": w.alpha,
                 "witnesses": [[x.n1p, x.n2p, x.dsum] for x in w.witnesses],
                 "stabilized": w.stabilized,
             }
-            for w in outputs["walls"]
+            for w in walls
         ]
     inputs = {
         name: value

@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, reject, settings
@@ -232,6 +233,33 @@ class TestWallsCommand:
         )
         assert code == 1
         assert "unbounded" in err
+
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+    def test_a_large_request_builds_no_wall_objects(
+        self, capsys, monkeypatch, mode
+    ):
+        from triplemoduli import walls
+
+        def refuse(*args):
+            raise AssertionError("built a wall object")
+
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(walls, "Wall", refuse)
+        monkeypatch.setattr(walls, "WallWitness", refuse)
+        monkeypatch.setattr(walls, "Fraction", counted)
+        code, out, err = run(
+            capsys, "walls", "--n1", "5", "--n2", "3", "--d1", "310",
+            "--d2", "-310", "--interval", "-1", "2000", *mode,
+        )
+        assert code == 0, err
+        assert out.count("alpha") > 10000
+        # the two window edges, none per wall
+        assert len(made) == 2
 
 
 class TestChambersCommand:

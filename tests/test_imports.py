@@ -38,6 +38,18 @@ def loaded_after(code: str) -> list:
     return json.loads(fresh(code + "\n" + LOADED).splitlines()[-1])
 
 
+def run_main(argv: str, code: int) -> str:
+    """Source that runs ``main(argv.split())`` quietly and checks its exit
+    code."""
+    return (
+        "import contextlib, io\n"
+        "from triplemoduli.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(%r)\n"
+        "assert code == %d, code\n" % (argv.split(), code)
+    )
+
+
 class TestImportSet:
     def test_importing_the_package_or_the_cli_loads_no_math_module(self):
         assert loaded_after("import triplemoduli") == []
@@ -74,14 +86,21 @@ class TestImportSet:
     def test_a_request_loads_only_the_modules_its_subcommand_uses(
         self, argv, code, modules, mode
     ):
-        run = (
-            "import contextlib, io\n"
-            "from triplemoduli.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(%r)\n"
-            "assert code == %d, code\n" % ((argv + mode).split(), code)
-        )
-        assert loaded_after(run) == modules
+        assert loaded_after(run_main(argv + mode, code)) == modules
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import triplemoduli.cli",
+            run_main("walls --n1 2 --n2 1 --d1 4 --d2 1/0", 2),
+            run_main("census --p 1 --json", 2),
+        ],
+        ids=["import", "usage-malformed", "usage-missing"],
+    )
+    def test_the_cli_alone_does_not_load_dataclasses(self, code):
+        # only the report form of a result dataclass needs the module
+        out = fresh(code + "\nimport sys\nprint('dataclasses' in sys.modules)")
+        assert out.splitlines()[-1] == "False"
 
 
 class TestPackageNames:

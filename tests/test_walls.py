@@ -27,6 +27,7 @@ from triplemoduli import (
     is_critical,
     wall_alpha,
 )
+from triplemoduli.walls import _wall_plan, _wall_rows
 
 from oracles import (
     oracle_critical_at_integer,
@@ -270,6 +271,90 @@ class TestWallTupleAgainstOracle:
             expected = oracle_wall_tuple(T, *default_window(T, g))
             assert enumerate_walls(T, g=g) == expected
             checked += 1
+
+
+def assert_rows_match(T, **kwargs):
+    """The CLI's integer rows against the public Wall tuple."""
+    rows = _wall_rows(T, **kwargs)
+    walls = enumerate_walls(T, **kwargs)
+    assert len(rows) == len(walls)
+    for (num, den, wits, stabilized), w in zip(rows, walls):
+        assert den > 0 and math.gcd(num, den) == 1
+        assert F(num, den) == w.alpha
+        assert wits == [(x.n1p, x.n2p, x.dsum) for x in w.witnesses]
+        assert stabilized == w.stabilized
+
+
+class TestWallRowsAgainstEnumerateWalls:
+    """walls._wall_rows, which the CLI writes, on the sweeps of
+    TestWallTupleAgainstOracle."""
+
+    @given(triple_types(), st.integers(2, 4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_default_window(self, T, g, include_endpoints):
+        assert_rows_match(T, include_endpoints=include_endpoints, g=g)
+
+    @given(
+        triple_types(),
+        st.integers(0, 120),
+        st.integers(0, 480),
+        st.sampled_from([17, 19, 23]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_explicit_interval_off_the_lattice(
+        self, T, below, above, den, include_endpoints
+    ):
+        lo = alpha_range(T).lo
+        window = (lo - F(below, den), lo + F(above, den))
+        assert_rows_match(
+            T, interval=window, include_endpoints=include_endpoints
+        )
+
+    def test_sampled_larger_ranks(self):
+        rnd = random.Random(88)
+        checked = 0
+        while checked < 40:
+            T = TripleType(
+                rnd.randint(1, 8),
+                rnd.randint(1, 8),
+                rnd.randint(-12, 12),
+                rnd.randint(-12, 12),
+            )
+            if alpha_range(T).empty:
+                continue
+            assert_rows_match(T, g=rnd.randint(2, 4))
+            checked += 1
+
+    def test_refusals_are_the_same(self):
+        for T, kwargs in [
+            (TripleType(1, 1, 1, 0), {}),
+            (TripleType(2, 1, 4, 1), {"interval": (F(3), F(2))}),
+            (TripleType(1, 1, 1, 0), {"g": 1}),
+        ]:
+            with pytest.raises(DomainError) as public:
+                enumerate_walls(T, **kwargs)
+            with pytest.raises(DomainError) as rows:
+                _wall_rows(T, **kwargs)
+            assert str(rows.value) == str(public.value)
+
+
+def plan_candidates(T, **kwargs):
+    """Witness candidates of the scan plan: the sum of its d'-range
+    lengths, with no scan run."""
+    _, _, _, plan = _wall_plan(T, kwargs.get("interval"), True, kwargs.get("g"))
+    return sum(len(dps) for _, _, dps, _ in plan)
+
+
+class TestPlanCandidates:
+    @given(triple_types(), st.integers(2, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_plan_counts_every_witness_of_the_closed_window(self, T, g):
+        walls = enumerate_walls(T, include_endpoints=True, g=g)
+        assert plan_candidates(T, g=g) == sum(len(w.witnesses) for w in walls)
+
+    def test_frozen_large_count(self):
+        assert plan_candidates(TripleType(5, 3, 4000, -4000)) == 157878
 
 
 class TestIsCritical:

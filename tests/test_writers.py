@@ -9,15 +9,15 @@ trees of every value kind a report can hold.
 import contextlib
 import io
 import json
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_render, oracle_report
-from triplemoduli.cli import main, write_json, write_text
+from triplemoduli.cli import _Walls, main, write_json, write_text
 from triplemoduli.rationals import jsonable
-from triplemoduli.walls import Wall, WallWitness
 
 _T = ("--n1", "--n2", "--d1", "--d2")
 
@@ -63,13 +63,17 @@ def written(writer, tree):
 
 
 def unwalled(tree):
-    """``tree`` with every Wall replaced by its report dict."""
-    if isinstance(tree, Wall):
-        return {
-            "alpha": tree.alpha,
-            "witnesses": [[x.n1p, x.n2p, x.dsum] for x in tree.witnesses],
-            "stabilized": tree.stabilized,
-        }
+    """``tree`` with every walls block replaced by its list of report
+    dicts."""
+    if isinstance(tree, _Walls):
+        return [
+            {
+                "alpha": F(num, den),
+                "witnesses": [list(row) for row in rows],
+                "stabilized": stabilized,
+            }
+            for num, den, rows, stabilized in tree
+        ]
     if isinstance(tree, dict):
         return {k: unwalled(v) for k, v in tree.items()}
     if isinstance(tree, (list, tuple)):
@@ -95,12 +99,15 @@ _keys = (
     | st.none()
     | st.fractions(max_denominator=3)
 )
-_walls = st.builds(
-    Wall,
-    st.fractions(max_denominator=6),
-    st.lists(st.builds(WallWitness, _ints, _ints, _ints), max_size=3).map(tuple),
-    st.booleans(),
-)
+# walls blocks as walls._wall_rows gives them: alpha in lowest terms
+_walls = st.lists(
+    st.tuples(
+        st.fractions(max_denominator=6),
+        st.lists(st.tuples(_ints, _ints, _ints), max_size=3),
+        st.booleans(),
+    ).map(lambda w: (w[0].numerator, w[0].denominator, w[1], w[2])),
+    max_size=3,
+).map(_Walls)
 _rows = st.integers(1, 3).flatmap(
     lambda r: st.lists(
         st.lists(_ints, min_size=r, max_size=r).map(tuple)
