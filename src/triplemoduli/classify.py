@@ -5,10 +5,12 @@ Given (p, q, a, b, g) this module decides, by exact case analysis on
 the Toledo invariant, what is known about the moduli space M(a, b) of
 polystable Higgs bundles of that type: nonemptiness, connectedness,
 smoothness and dimension of the stable locus, and rigidity at the
-extreme Toledo values. Each definite answer carries a citation tag (a
-stable string naming the structural fact it rests on), and questions
-the case analysis does not settle are reported as "unknown" rather
-than guessed.
+extreme Toledo values. The case analysis is one ordered table of
+cases: the first case whose test holds decides, and in the interior
+case two sub-rules refine connectedness of the full space. Each
+definite answer carries a citation tag (a stable string naming the
+structural fact it rests on), and questions the case analysis does not
+settle are reported as "unknown" rather than guessed.
 
 Verdicts for the two associated representation varieties are derived:
 R_Gamma (the lift to the universal central extension) shares all
@@ -92,149 +94,106 @@ class Verdict:
     warnings: tuple[str, ...]
 
 
+# The cases in priority order. A row gives the name, the test on
+# (H, toledo(H)), the four tri-state fields in Verdict order (None: the
+# sub-rules decide), whether the stable locus is smooth of the expected
+# dimension, and the citation tags in report order.
+_CASES = (
+    ("out-of-range", lambda H, t: not t.within_bound,
+     NO, NO, NO, NO, False,
+     {"stable_nonempty": TAG_MILNOR_WOOD,
+      "closure_of_stable_connected": TAG_MILNOR_WOOD,
+      "full_space_nonempty": TAG_MILNOR_WOOD,
+      "full_space_connected": TAG_MILNOR_WOOD}),
+    ("zero-toledo", lambda H, t: t.tau == 0,
+     UNKNOWN, UNKNOWN, YES, YES, False,
+     {"full_space_nonempty": TAG_ZERO_TOLEDO,
+      "full_space_connected": TAG_ZERO_TOLEDO}),
+    ("interior-toledo", lambda H, t: not t.saturated,
+     YES, YES, YES, None, True,
+     {"stable_nonempty": TAG_INTERIOR,
+      "stable_smooth_dim": TAG_INTERIOR,
+      "closure_of_stable_connected": TAG_INTERIOR,
+      "full_space_nonempty": TAG_INTERIOR}),
+    ("maximal-toledo-equal-ranks", lambda H, t: H.p == H.q,
+     YES, YES, YES, YES, True,
+     {"stable_nonempty": TAG_EQ_RANK_MAX,
+      "stable_smooth_dim": TAG_EQ_RANK_MAX,
+      "closure_of_stable_connected": TAG_EQ_RANK_MAX,
+      "full_space_nonempty": TAG_EQ_RANK_MAX,
+      "full_space_connected": TAG_EQ_RANK_MAX}),
+    ("maximal-toledo-rigid", lambda H, t: True,
+     NO, NO, YES, YES, False,
+     {"stable_nonempty": TAG_RIGIDITY,
+      "closure_of_stable_connected": TAG_RIGIDITY,
+      "full_space_nonempty": TAG_UNEQ_MAX_CONN,
+      "full_space_connected": TAG_UNEQ_MAX_CONN,
+      "rigidity_data": TAG_RIGIDITY}),
+)
+
+
 def classify(H: HiggsType) -> Verdict:
     """Run the full case analysis for one input type.
 
-    Case priority: out-of-range Toledo kills everything; zero Toledo
-    gives a nonempty connected space with the stable locus left open;
-    strictly interior Toledo gives a nonempty smooth stable locus of
-    the expected dimension with connected closure, and the full space
-    is connected when gcd(p+q, a+b) = 1 or in the equal-rank window
+    Out-of-range Toledo kills everything; zero Toledo gives a nonempty
+    connected space with the stable locus left open; strictly interior
+    Toledo gives a nonempty smooth stable locus of the expected
+    dimension with connected closure, and the full space is connected
+    when gcd(p+q, a+b) = 1 or else in the equal-rank window
     (p-1)(2g-2) < |tau|; maximal Toledo splits into the equal-rank case
     (everything connected, stable locus alive) and the unequal-rank
     rigidity case (stable locus empty, the space is a product of
     smaller moduli, yet still connected).
     """
     t = toledo(H)
-    tau, in_range, saturated = t.tau, t.within_bound, t.saturated
     coprime = coprime_smooth(H)
-    citations: dict[str, str] = {}
-    warnings: tuple[str, ...] = ()
-    rigid = False
-    rigidity_data: Optional[RigidityReport] = None
-    stable_smooth_dim: Optional[int] = None
-
-    if not in_range:
-        case = "out-of-range"
-        stable_nonempty = NO
-        closure_connected = NO
-        full_nonempty = NO
-        full_connected = NO
-        for field in (
-            "stable_nonempty",
-            "closure_of_stable_connected",
-            "full_space_nonempty",
-            "full_space_connected",
-        ):
-            citations[field] = TAG_MILNOR_WOOD
-    elif tau == 0:
-        case = "zero-toledo"
-        stable_nonempty = UNKNOWN
-        closure_connected = UNKNOWN
-        full_nonempty = YES
-        full_connected = YES
-        citations["full_space_nonempty"] = TAG_ZERO_TOLEDO
-        citations["full_space_connected"] = TAG_ZERO_TOLEDO
-    elif not saturated:
-        case = "interior-toledo"
-        stable_nonempty = YES
-        stable_smooth_dim = expected_dim(H)
-        closure_connected = YES
-        full_nonempty = YES
-        for field in (
-            "stable_nonempty",
-            "stable_smooth_dim",
-            "closure_of_stable_connected",
-            "full_space_nonempty",
-        ):
-            citations[field] = TAG_INTERIOR
+    for row in _CASES:
+        if row[1](H, t):
+            break
+    case, _, stable, closure, nonempty, connected, smooth, tags = row
+    citations = dict(tags)
+    if connected is None:
         if coprime:
-            full_connected = YES
+            connected = YES
             citations["full_space_connected"] = TAG_COPRIME
-        elif H.p == H.q and (H.p - 1) * (2 * H.g - 2) < abs(tau):
-            full_connected = YES
+        elif H.p == H.q and (H.p - 1) * (2 * H.g - 2) < abs(t.tau):
+            connected = YES
             citations["full_space_connected"] = TAG_EQ_RANK_WINDOW
         else:
-            full_connected = UNKNOWN
-    elif H.p == H.q:
-        case = "maximal-toledo-equal-ranks"
-        stable_nonempty = YES
-        stable_smooth_dim = expected_dim(H)
-        closure_connected = YES
-        full_nonempty = YES
-        full_connected = YES
-        for field in (
-            "stable_nonempty",
-            "stable_smooth_dim",
-            "closure_of_stable_connected",
-            "full_space_nonempty",
-            "full_space_connected",
-        ):
-            citations[field] = TAG_EQ_RANK_MAX
-    else:
-        case = "maximal-toledo-rigid"
-        rigid = True
-        rigidity_data = rigidity(H)
-        warnings = rigidity_data.warnings
-        stable_nonempty = NO
-        closure_connected = NO
-        full_nonempty = YES
-        full_connected = YES
-        citations["stable_nonempty"] = TAG_RIGIDITY
-        citations["closure_of_stable_connected"] = TAG_RIGIDITY
-        citations["full_space_nonempty"] = TAG_UNEQ_MAX_CONN
-        citations["full_space_connected"] = TAG_UNEQ_MAX_CONN
-        citations["rigidity_data"] = TAG_RIGIDITY
+            connected = UNKNOWN
 
-    if coprime and stable_smooth_dim is None and in_range:
-        # Unreachable: coprimality forces 0 < |tau| < tau_max (the
-        # extreme and zero values of qa - pb are multiples of p + q).
-        raise AssertionError(
-            "coprime type escaped the interior case: %r" % (H,)
-        )
-
-    smooth_expected = UNKNOWN
-    if not in_range:
-        smooth_expected = NO
-    elif coprime:
-        smooth_expected = YES
+    r_smooth = UNKNOWN if t.within_bound else NO
+    if coprime and t.within_bound:
+        if not smooth:
+            # Unreachable: coprimality forces 0 < |tau| < tau_max (the
+            # extreme and zero values of qa - pb are multiples of p + q).
+            raise AssertionError(
+                "coprime type escaped the interior case: %r" % (H,)
+            )
+        r_smooth = YES
         citations["r_gamma.smooth_of_expected_dim"] = TAG_COPRIME
-
-    r_gamma = SubspaceVerdict(
-        nonempty=full_nonempty,
-        connected=full_connected,
-        stable_nonempty=stable_nonempty,
-        closure_of_stable_connected=closure_connected,
-        smooth_of_expected_dim=smooth_expected,
-    )
     citations["r_gamma"] = TAG_CORRESPONDENCE
-    r_pu = SubspaceVerdict(
-        nonempty=full_nonempty,
-        connected=full_connected,
-        stable_nonempty=stable_nonempty,
-        closure_of_stable_connected=closure_connected,
-        smooth_of_expected_dim=UNKNOWN,
-    )
     citations["r_pu"] = TAG_FIBRATION
+    # Only the rigid case cites a decomposition.
+    rigidity_data = rigidity(H) if "rigidity_data" in tags else None
 
     return Verdict(
         higgs=H,
-        tau=tau,
+        tau=t.tau,
         tau_max=t.tau_M,
-        in_range=in_range,
-        saturated=saturated,
+        in_range=t.within_bound,
+        saturated=t.saturated,
         coprime=coprime,
         case=case,
-        stable_nonempty=stable_nonempty,
-        stable_smooth_dim=stable_smooth_dim,
-        closure_of_stable_connected=closure_connected,
-        full_space_nonempty=full_nonempty,
-        full_space_connected=full_connected,
-        rigid=rigid,
+        stable_nonempty=stable,
+        stable_smooth_dim=expected_dim(H) if smooth else None,
+        closure_of_stable_connected=closure,
+        full_space_nonempty=nonempty,
+        full_space_connected=connected,
+        rigid=rigidity_data is not None,
         rigidity_data=rigidity_data,
-        r_gamma=r_gamma,
-        r_pu=r_pu,
+        r_gamma=SubspaceVerdict(nonempty, connected, stable, closure, r_smooth),
+        r_pu=SubspaceVerdict(nonempty, connected, stable, closure, UNKNOWN),
         citations=citations,
-        warnings=warnings,
+        warnings=rigidity_data.warnings if rigidity_data else (),
     )
-

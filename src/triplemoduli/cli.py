@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -46,6 +47,12 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             "expected an exact rational written as N or N/D, got %r" % text
         )
+
+
+# argparse reads a token that starts with "-" as a flag unless it matches
+# this (private) pattern; argparse's own is r"^-\d+$|^-\d*\.\d+$". The
+# "/D" part lets a negative rational such as -1/2 be a separate value.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -406,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--json", action="store_true", help="machine-readable report"
         )
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -282,23 +282,14 @@ def rigidity(H: HiggsType) -> RigidityReport:
             below_expected=None,
             warnings=(),
         )
-    two = 2 * H.g - 2
-    positive = t.tau > 0
-    if H.p < H.q:
-        if positive:
-            f1 = HiggsType(H.p, H.p, H.a, H.a - H.p * two, H.g)
-            f2 = (H.q - H.p, H.b - H.a + H.p * two)
-        else:
-            f1 = HiggsType(H.p, H.p, H.a, H.a + H.p * two, H.g)
-            f2 = (H.q - H.p, H.b - H.a - H.p * two)
-    else:
-        if positive:
-            f1 = HiggsType(H.q, H.q, H.b + H.q * two, H.b, H.g)
-            f2 = (H.p - H.q, H.a - H.b - H.q * two)
-        else:
-            f1 = HiggsType(H.q, H.q, H.b - H.q * two, H.b, H.g)
-            f2 = (H.p - H.q, H.a - H.b + H.q * two)
     m = min(H.p, H.q)
+    shift = (1 if t.tau > 0 else -1) * m * (2 * H.g - 2)
+    if H.p < H.q:
+        f1 = HiggsType(m, m, H.a, H.a - shift, H.g)
+        f2 = (H.q - m, H.b - f1.b)
+    else:
+        f1 = HiggsType(m, m, H.b + shift, H.b, H.g)
+        f2 = (H.p - m, H.a - f1.a)
     dim_sum = expected_dim(f1) + (1 + f2[0] ** 2 * (H.g - 1))
     closed = 2 + (4 * m * m + (H.p - H.q) ** 2) * (H.g - 1)
     assert dim_sum == closed

@@ -14,13 +14,32 @@ The CLI report is built the way the CLI first built it, in three steps
 (a dict per ``Wall`` of the public ``enumerate_walls``, ``jsonable`` over
 the whole tree, then ``json.dumps`` or a renderer of the converted
 tree), rather than by one streaming writer over the integer rows of the
-wall scan.
+wall scan. The classifier is the ``if`` chain it was first written as,
+one branch per case, rather than the ordered table of cases.
 """
 
 import json
 from fractions import Fraction as F
 
+from triplemoduli.classify import (
+    NO,
+    TAG_COPRIME,
+    TAG_CORRESPONDENCE,
+    TAG_EQ_RANK_MAX,
+    TAG_EQ_RANK_WINDOW,
+    TAG_FIBRATION,
+    TAG_INTERIOR,
+    TAG_MILNOR_WOOD,
+    TAG_RIGIDITY,
+    TAG_UNEQ_MAX_CONN,
+    TAG_ZERO_TOLEDO,
+    UNKNOWN,
+    YES,
+    SubspaceVerdict,
+    Verdict,
+)
 from triplemoduli.cli import build_parser
+from triplemoduli.higgs import coprime_smooth, expected_dim, rigidity, toledo
 from triplemoduli.rationals import jsonable
 from triplemoduli.triples import TripleType
 from triplemoduli.walls import enumerate_walls
@@ -247,3 +266,142 @@ def oracle_report(argv):
     if args.json:
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     return "\n".join(oracle_render(report)) + "\n"
+
+
+def oracle_classify(H):
+    """The classifier as first written: one ``if`` branch per case, each
+    assigning its tri-state fields and citation tags by hand, with the
+    two full-space-connectedness sub-rules nested in the interior
+    branch."""
+    t = toledo(H)
+    tau, in_range, saturated = t.tau, t.within_bound, t.saturated
+    coprime = coprime_smooth(H)
+    citations = {}
+    warnings = ()
+    rigid = False
+    rigidity_data = None
+    stable_smooth_dim = None
+
+    if not in_range:
+        case = "out-of-range"
+        stable_nonempty = NO
+        closure_connected = NO
+        full_nonempty = NO
+        full_connected = NO
+        for field in (
+            "stable_nonempty",
+            "closure_of_stable_connected",
+            "full_space_nonempty",
+            "full_space_connected",
+        ):
+            citations[field] = TAG_MILNOR_WOOD
+    elif tau == 0:
+        case = "zero-toledo"
+        stable_nonempty = UNKNOWN
+        closure_connected = UNKNOWN
+        full_nonempty = YES
+        full_connected = YES
+        citations["full_space_nonempty"] = TAG_ZERO_TOLEDO
+        citations["full_space_connected"] = TAG_ZERO_TOLEDO
+    elif not saturated:
+        case = "interior-toledo"
+        stable_nonempty = YES
+        stable_smooth_dim = expected_dim(H)
+        closure_connected = YES
+        full_nonempty = YES
+        for field in (
+            "stable_nonempty",
+            "stable_smooth_dim",
+            "closure_of_stable_connected",
+            "full_space_nonempty",
+        ):
+            citations[field] = TAG_INTERIOR
+        if coprime:
+            full_connected = YES
+            citations["full_space_connected"] = TAG_COPRIME
+        elif H.p == H.q and (H.p - 1) * (2 * H.g - 2) < abs(tau):
+            full_connected = YES
+            citations["full_space_connected"] = TAG_EQ_RANK_WINDOW
+        else:
+            full_connected = UNKNOWN
+    elif H.p == H.q:
+        case = "maximal-toledo-equal-ranks"
+        stable_nonempty = YES
+        stable_smooth_dim = expected_dim(H)
+        closure_connected = YES
+        full_nonempty = YES
+        full_connected = YES
+        for field in (
+            "stable_nonempty",
+            "stable_smooth_dim",
+            "closure_of_stable_connected",
+            "full_space_nonempty",
+            "full_space_connected",
+        ):
+            citations[field] = TAG_EQ_RANK_MAX
+    else:
+        case = "maximal-toledo-rigid"
+        rigid = True
+        rigidity_data = rigidity(H)
+        warnings = rigidity_data.warnings
+        stable_nonempty = NO
+        closure_connected = NO
+        full_nonempty = YES
+        full_connected = YES
+        citations["stable_nonempty"] = TAG_RIGIDITY
+        citations["closure_of_stable_connected"] = TAG_RIGIDITY
+        citations["full_space_nonempty"] = TAG_UNEQ_MAX_CONN
+        citations["full_space_connected"] = TAG_UNEQ_MAX_CONN
+        citations["rigidity_data"] = TAG_RIGIDITY
+
+    if coprime and stable_smooth_dim is None and in_range:
+        # Unreachable: coprimality forces 0 < |tau| < tau_max (the
+        # extreme and zero values of qa - pb are multiples of p + q).
+        raise AssertionError(
+            "coprime type escaped the interior case: %r" % (H,)
+        )
+
+    smooth_expected = UNKNOWN
+    if not in_range:
+        smooth_expected = NO
+    elif coprime:
+        smooth_expected = YES
+        citations["r_gamma.smooth_of_expected_dim"] = TAG_COPRIME
+
+    r_gamma = SubspaceVerdict(
+        nonempty=full_nonempty,
+        connected=full_connected,
+        stable_nonempty=stable_nonempty,
+        closure_of_stable_connected=closure_connected,
+        smooth_of_expected_dim=smooth_expected,
+    )
+    citations["r_gamma"] = TAG_CORRESPONDENCE
+    r_pu = SubspaceVerdict(
+        nonempty=full_nonempty,
+        connected=full_connected,
+        stable_nonempty=stable_nonempty,
+        closure_of_stable_connected=closure_connected,
+        smooth_of_expected_dim=UNKNOWN,
+    )
+    citations["r_pu"] = TAG_FIBRATION
+
+    return Verdict(
+        higgs=H,
+        tau=tau,
+        tau_max=t.tau_M,
+        in_range=in_range,
+        saturated=saturated,
+        coprime=coprime,
+        case=case,
+        stable_nonempty=stable_nonempty,
+        stable_smooth_dim=stable_smooth_dim,
+        closure_of_stable_connected=closure_connected,
+        full_space_nonempty=full_nonempty,
+        full_space_connected=full_connected,
+        rigid=rigid,
+        rigidity_data=rigidity_data,
+        r_gamma=r_gamma,
+        r_pu=r_pu,
+        citations=citations,
+        warnings=warnings,
+    )

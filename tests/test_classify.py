@@ -1,9 +1,19 @@
 """Case analysis verdicts: coverage, determinacy, invariance, citations."""
 
+import itertools
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplemoduli import HiggsType, classify, expected_dim, toledo
+from oracles import oracle_classify
+from triplemoduli import (
+    HiggsType,
+    classify,
+    enumerate_region,
+    expected_dim,
+    toledo,
+)
 
 pq = st.integers(min_value=1, max_value=4)
 deg = st.integers(min_value=-12, max_value=12)
@@ -207,3 +217,52 @@ class TestStructuralProperties:
             assert v.r_pu.smooth_of_expected_dim == "unknown"
         assert v.citations["r_gamma"] == "higgs-representation-correspondence"
         assert v.citations["r_pu"] == "jacobian-fibration-descent"
+
+
+def criterion_10_types():
+    """The types test_criterion_10_classifier draws, with its translates."""
+    rng = random.Random(16180)
+    yield HiggsType(1, 2, 2, 1, 2)
+    yield HiggsType(2, 3, 1, 1, 2)
+    for _ in range(3000):
+        p, q, g = rng.randint(1, 4), rng.randint(1, 4), rng.randint(2, 4)
+        a, b = rng.randint(-12, 12), rng.randint(-12, 12)
+        for step in (0, -2, 1, 3):
+            yield HiggsType(p, q, a + step * p, b + step * q, g)
+
+
+def census_types():
+    for p, q, g in itertools.product(range(1, 7), range(1, 7), range(2, 5)):
+        for cp in enumerate_region(p, q, g).points:
+            yield HiggsType(p, q, cp.a, cp.b, g)
+
+
+def grid_types():
+    ranks, degrees = range(1, 7), range(-12, 13)
+    for p, q, a, b, g in itertools.product(
+        ranks, ranks, degrees, degrees, range(2, 5)
+    ):
+        yield HiggsType(p, q, a, b, g)
+
+
+class TestCaseTableAgainstOracle:
+    """The case table gives the Verdict of the if chain it replaced,
+    field for field and with the citations in the same order."""
+
+    def check(self, types):
+        n = 0
+        for H in types:
+            v, w = classify(H), oracle_classify(H)
+            assert repr(v) == repr(w), H
+            assert list(v.citations.items()) == list(w.citations.items()), H
+            n += 1
+        return n
+
+    def test_criterion_10_types(self):
+        assert self.check(criterion_10_types()) == 12002
+
+    def test_every_census_class(self):
+        assert self.check(census_types()) == 9087
+
+    def test_grid(self):
+        assert self.check(grid_types()) == 67500

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report envelopes, JSON stability."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -391,6 +392,49 @@ class TestClassifyCommand:
         assert out["rigidity_data"]["dim_sum"] == 7
         assert out["stable_nonempty"] == "no"
         assert out["full_space_connected"] == "yes"
+
+
+class TestNegativeRationals:
+    """A negative rational -N/D is a value, not a flag, as a separate
+    token too: the only spelling of the two-valued --interval."""
+
+    TRIPLE = ("--n1", "2", "--n2", "1", "--d1", "4", "--d2", "1")
+
+    def test_every_subparser_widens_argparse_negative_number_pattern(self):
+        # The pattern is a private argparse attribute: an interpreter
+        # whose argparse no longer has it must fail here, not quietly.
+        assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+        for sp in SUBCOMMANDS.values():
+            assert sp._negative_number_matcher.match("-1/2")
+
+    def test_separate_token_matches_equals_spelling(self, capsys):
+        for mode in ((), ("--json",)):
+            spaced = run(capsys, "triple", *self.TRIPLE, "--alpha", "-1/2",
+                         *mode)
+            joined = run(capsys, "triple", *self.TRIPLE, "--alpha=-1/2",
+                         *mode)
+            assert spaced == joined
+            assert spaced[0] == 0
+
+    def test_two_valued_interval(self, capsys):
+        code, out, err = run(
+            capsys, "walls", *self.TRIPLE, "--interval", "-1/2", "3"
+        )
+        assert code == 0, err
+        assert "interval: [-1/2, 3]" in out
+
+    def test_negative_cutoff_is_a_value(self, capsys):
+        code, _, err = run(
+            capsys, "chambers", "--n1", "2", "--n2", "2", "--d1", "3",
+            "--d2", "0", "--g", "2", "--cutoff", "-1/2",
+        )
+        assert code == 1
+        assert "cutoff must exceed" in err
+
+    @pytest.mark.parametrize("value", ["-1/2x", "-1.5"])
+    def test_malformed_negative_is_still_exit_two(self, capsys, value):
+        code, _, _ = run(capsys, "triple", *self.TRIPLE, "--alpha", value)
+        assert code == 2
 
 
 class TestParser:

@@ -50,6 +50,10 @@ ARGVS = [
     ["classify", *_flags(_H, (1, 2, 2, 1, 2))],
     ["classify", *_flags(_H, (2, 3, 1, 1, 2))],
     ["classify", *_flags(_H, (2, 2, 2, -2, 2))],
+    ["classify", *_flags(_H, (1, 1, 5, 0, 2))],
+    ["classify", *_flags(_H, (1, 1, 1, 1, 2))],
+    ["classify", *_flags(_H, (3, 3, 4, -1, 2))],
+    ["classify", *_flags(_H, (2, 2, 1, -1, 2))],
 ]
 CASES = [argv + mode for argv in ARGVS for mode in (["--json"], [])]
 
