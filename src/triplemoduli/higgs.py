@@ -135,14 +135,19 @@ RIGIDITY_DIM_WARNING = (
 
 
 def toledo(H: HiggsType) -> ToledoReport:
-    """Toledo invariant, its bound tau_M = min(p,q)(2g-2), and flags."""
-    tau = Fraction(2 * (H.q * H.a - H.p * H.b), H.total_rank)
+    """Toledo invariant, its bound tau_M = min(p,q)(2g-2), and flags.
+
+    The flags compare |2(qa - pb)| with tau_M (p + q) in integers.
+    """
+    n = H.p + H.q
+    num = 2 * (H.q * H.a - H.p * H.b)
     tau_M = min(H.p, H.q) * (2 * H.g - 2)
+    bound = tau_M * n
     return ToledoReport(
-        tau=tau,
+        tau=Fraction(num, n),
         tau_M=tau_M,
-        within_bound=abs(tau) <= tau_M,
-        saturated=abs(tau) == tau_M,
+        within_bound=abs(num) <= bound,
+        saturated=abs(num) == bound,
     )
 
 
@@ -166,6 +171,15 @@ def vanishing_pattern(H: HiggsType) -> str:
     return "both_zero"
 
 
+def _minima_triple(H: HiggsType) -> tuple[str, TripleType]:
+    """Vanishing pattern and minima triple type (see minima_triple_type)."""
+    two = 2 * H.g - 2
+    pattern = vanishing_pattern(H)
+    if pattern == "beta_zero":
+        return pattern, TripleType(H.q, H.p, H.b + H.q * two, H.a)
+    return pattern, TripleType(H.p, H.q, H.a + H.p * two, H.b)
+
+
 def minima_triple_type(H: HiggsType) -> MinimaRealization:
     """Triple type whose (2g-2)-moduli realizes the Morse minima.
 
@@ -174,23 +188,23 @@ def minima_triple_type(H: HiggsType) -> MinimaRealization:
     descriptions degenerate to the product of bundle moduli
     M(p, a) x M(q, b); the gamma_zero-form triple is reported there.
     """
-    two = 2 * H.g - 2
-    pattern = vanishing_pattern(H)
-    if pattern == "gamma_zero":
-        triple = TripleType(H.p, H.q, H.a + H.p * two, H.b)
-        product = None
-    elif pattern == "beta_zero":
-        triple = TripleType(H.q, H.p, H.b + H.q * two, H.a)
-        product = None
-    else:
-        triple = TripleType(H.p, H.q, H.a + H.p * two, H.b)
-        product = ((H.p, H.a), (H.q, H.b))
+    pattern, triple = _minima_triple(H)
     return MinimaRealization(
         case_tag=pattern,
         triple=triple,
-        alpha=Fraction(two),
-        product_factors=product,
+        alpha=Fraction(2 * H.g - 2),
+        product_factors=(
+            ((H.p, H.a), (H.q, H.b)) if pattern == "both_zero" else None
+        ),
     )
+
+
+# "<", "=" or ">" indexed by sign + 1
+_CMP = "<=>"
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def mw_relations(H: HiggsType) -> MWReport:
@@ -199,42 +213,39 @@ def mw_relations(H: HiggsType) -> MWReport:
     Always 2g-2 >= alpha_m, with equality iff tau = 0. For p != q the
     bound |tau| <= tau_M is equivalent to 2g-2 <= alpha_M, saturation to
     equality; for p = q it is equivalent to alpha_m >= 0, saturation to
-    alpha_m = 0.
+    alpha_m = 0. Each endpoint is placed against 2g-2 by one integer
+    cross-multiplication; the facts compare that placement, taken from
+    the minima triple's range, with the flags of ``toledo``.
     """
     t = toledo(H)
-    realization = minima_triple_type(H)
-    Tm = realization.triple
+    _, Tm = _minima_triple(H)
     rng = alpha_range(Tm)
     alpha_m = rng.lo
     alpha_M = rng.hi
     two = 2 * H.g - 2
-
-    def cmp_sym(x: Fraction, y: Fraction) -> str:
-        if x < y:
-            return "<"
-        if x == y:
-            return "="
-        return ">"
-
+    # signs of 2g-2 - alpha_m and 2g-2 - alpha_M (denominators are > 0)
+    m = alpha_m.numerator
+    vs_m = _sign(two * alpha_m.denominator - m)
     facts = [
-        ("two_g_minus_2_ge_alpha_m", two >= alpha_m),
-        ("alpha_m_equality_iff_tau_zero", (two == alpha_m) == (t.tau == 0)),
+        ("two_g_minus_2_ge_alpha_m", vs_m >= 0),
+        ("alpha_m_equality_iff_tau_zero", (vs_m == 0) == (t.tau.numerator == 0)),
     ]
     alpha_M_vs: Optional[str] = None
     if H.p != H.q:
         assert alpha_M is not None
-        alpha_M_vs = cmp_sym(Fraction(two), alpha_M)
+        vs_M = _sign(two * alpha_M.denominator - alpha_M.numerator)
+        alpha_M_vs = _CMP[vs_M + 1]
         facts.append(
-            ("within_bound_iff_2g2_le_alpha_M", t.within_bound == (two <= alpha_M))
+            ("within_bound_iff_2g2_le_alpha_M", t.within_bound == (vs_M <= 0))
         )
         facts.append(
-            ("saturated_iff_2g2_eq_alpha_M", t.saturated == (two == alpha_M))
+            ("saturated_iff_2g2_eq_alpha_M", t.saturated == (vs_M == 0))
         )
     else:
         facts.append(
-            ("within_bound_iff_alpha_m_nonneg", t.within_bound == (alpha_m >= 0))
+            ("within_bound_iff_alpha_m_nonneg", t.within_bound == (m >= 0))
         )
-        facts.append(("saturated_iff_alpha_m_zero", t.saturated == (alpha_m == 0)))
+        facts.append(("saturated_iff_alpha_m_zero", t.saturated == (m == 0)))
     return MWReport(
         tau=t.tau,
         tau_M=t.tau_M,
@@ -244,7 +255,7 @@ def mw_relations(H: HiggsType) -> MWReport:
         alpha_m=alpha_m,
         alpha_M=alpha_M,
         two_g_minus_2=two,
-        alpha_m_vs_2g2=cmp_sym(alpha_m, Fraction(two)),
+        alpha_m_vs_2g2=_CMP[1 - vs_m],
         alpha_M_vs_2g2=alpha_M_vs,
         facts=tuple(facts),
     )

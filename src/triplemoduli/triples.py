@@ -23,7 +23,6 @@ Violated preconditions raise :class:`~triplemoduli.errors.DomainError`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -243,22 +242,22 @@ def alpha_range(T: TripleType) -> AlphaInterval:
 
     alpha_m = mu1 - mu2 and, for n1 != n2,
     alpha_M = (1 + (n1 + n2)/|n1 - n2|) (mu1 - mu2); for n1 = n2 the
-    interval is unbounded above (hi is None).
+    interval is unbounded above (hi is None). In integers, with the gap
+    numerator num = d1 n2 - d2 n1, alpha_m = num/(n1 n2) and
+    alpha_M = 2 max(n1, n2) num/(|n1 - n2| n1 n2); the sign of num
+    decides ``empty`` and ``single_point``.
     """
     require_ranks(T, "alpha_range")
-    mu1 = Fraction(T.d1, T.n1)
-    mu2 = Fraction(T.d2, T.n2)
-    gap = mu1 - mu2
-    lo = gap
-    if T.n1 == T.n2:
-        hi: Optional[Fraction] = None
-    else:
-        hi = (1 + Fraction(T.total_rank, abs(T.n1 - T.n2))) * gap
+    n1, n2 = T.n1, T.n2
+    num = T.d1 * n2 - T.d2 * n1
+    hi: Optional[Fraction] = None
+    if n1 != n2:
+        hi = Fraction(2 * max(n1, n2) * num, abs(n1 - n2) * n1 * n2)
     return AlphaInterval(
-        lo=lo,
+        lo=Fraction(num, n1 * n2),
         hi=hi,
-        empty=gap < 0,
-        single_point=(gap == 0 and T.n1 != T.n2),
+        empty=num < 0,
+        single_point=(num == 0 and n1 != n2),
     )
 
 
@@ -334,17 +333,28 @@ def thresholds(T: TripleType) -> Thresholds:
     alpha_e = max(candidates)
     if n1 == n2:
         alpha_L = _alpha_L_equal_ranks(n1, gap)
+        fallback = False
     else:
-        # largest interior wall: alpha is monotone in d' per rank pair, so
-        # the largest wall below alpha_M sits at a ceiling or floor of x/n
+        # largest interior wall. A rank pair and its complement
+        # (n1 - n1', n2 - n2') have opposite det and the same walls, so
+        # only det < 0 is scanned; there the wall falls as d' grows, and
+        # the largest one below alpha_M = P/Q is at d' = floor(x/(Q n)) + 1
+        # with x = P det + Q (n1' + n2') D. The best wall so far is kept
+        # as num/den with den > 0 and compared by cross-multiplying.
         assert alpha_M is not None
         D = S.total_degree
-        alpha_L = alpha_m
+        P, Q = alpha_M.numerator, alpha_M.denominator
+        Qn = Q * n
+        num, den = alpha_m.numerator, alpha_m.denominator
+        fallback = True
         for n1p, n2p, det in _admissible_rank_pairs(S):
-            x = alpha_M * det + (n1p + n2p) * D
-            dp = math.ceil(x / n) - 1 if det > 0 else math.floor(x / n) + 1
-            alpha_L = max(alpha_L, Fraction(n * dp - (n1p + n2p) * D, det))
-    fallback = n1 != n2 and alpha_L == alpha_m
+            if det > 0:
+                continue
+            nD = (n1p + n2p) * D
+            wall = nD - n * ((P * det + Q * nD) // Qn + 1)
+            if wall * den > num * -det:
+                num, den, fallback = wall, -det, False
+        alpha_L = alpha_m if fallback else Fraction(num, den)
     return Thresholds(
         alpha_m=alpha_m,
         alpha_M=alpha_M,

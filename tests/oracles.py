@@ -15,7 +15,12 @@ The CLI report is built the way the CLI first built it, in three steps
 the whole tree, then ``json.dumps`` or a renderer of the converted
 tree), rather than by one streaming writer over the integer rows of the
 wall scan. The classifier is the ``if`` chain it was first written as,
-one branch per case, rather than the ordered table of cases.
+one branch per case, rather than the ordered table of cases. The Higgs
+bridge (the admissible alpha range, the Toledo invariant, the minima
+triple and the placement of 2g - 2 against its range) is the
+``Fraction`` arithmetic it was first written in: slopes subtracted,
+Fraction comparisons and a ``MinimaRealization`` built on the way,
+rather than integer gap numerators and cross-multiplication.
 """
 
 import json
@@ -39,9 +44,18 @@ from triplemoduli.classify import (
     Verdict,
 )
 from triplemoduli.cli import build_parser
-from triplemoduli.higgs import coprime_smooth, expected_dim, rigidity, toledo
+from triplemoduli.errors import DomainError
+from triplemoduli.higgs import (
+    MinimaRealization,
+    MWReport,
+    ToledoReport,
+    coprime_smooth,
+    expected_dim,
+    rigidity,
+    vanishing_pattern,
+)
 from triplemoduli.rationals import jsonable
-from triplemoduli.triples import TripleType
+from triplemoduli.triples import AlphaInterval, TripleType
 from triplemoduli.walls import enumerate_walls
 
 
@@ -273,7 +287,7 @@ def oracle_classify(H):
     assigning its tri-state fields and citation tags by hand, with the
     two full-space-connectedness sub-rules nested in the interior
     branch."""
-    t = toledo(H)
+    t = oracle_toledo(H)
     tau, in_range, saturated = t.tau, t.within_bound, t.saturated
     coprime = coprime_smooth(H)
     citations = {}
@@ -404,4 +418,110 @@ def oracle_classify(H):
         r_pu=r_pu,
         citations=citations,
         warnings=warnings,
+    )
+
+
+def oracle_alpha_range(T):
+    """Admissible interval [alpha_m, alpha_M] from the slope difference
+    mu1 - mu2 and the factor 1 + (n1 + n2)/|n1 - n2|, in Fractions."""
+    if T.n1 < 1 or T.n2 < 1:
+        raise DomainError("alpha_range needs both ranks >= 1")
+    mu1 = F(T.d1, T.n1)
+    mu2 = F(T.d2, T.n2)
+    gap = mu1 - mu2
+    lo = gap
+    if T.n1 == T.n2:
+        hi = None
+    else:
+        hi = (1 + F(T.total_rank, abs(T.n1 - T.n2))) * gap
+    return AlphaInterval(
+        lo=lo,
+        hi=hi,
+        empty=gap < 0,
+        single_point=(gap == 0 and T.n1 != T.n2),
+    )
+
+
+def oracle_toledo(H):
+    """Toledo invariant as a Fraction, its flags by Fraction comparison."""
+    tau = F(2 * (H.q * H.a - H.p * H.b), H.total_rank)
+    tau_M = min(H.p, H.q) * (2 * H.g - 2)
+    return ToledoReport(
+        tau=tau,
+        tau_M=tau_M,
+        within_bound=abs(tau) <= tau_M,
+        saturated=abs(tau) == tau_M,
+    )
+
+
+def oracle_minima_triple_type(H):
+    """Minima triple built per vanishing pattern, one branch each."""
+    two = 2 * H.g - 2
+    pattern = vanishing_pattern(H)
+    if pattern == "gamma_zero":
+        triple = TripleType(H.p, H.q, H.a + H.p * two, H.b)
+        product = None
+    elif pattern == "beta_zero":
+        triple = TripleType(H.q, H.p, H.b + H.q * two, H.a)
+        product = None
+    else:
+        triple = TripleType(H.p, H.q, H.a + H.p * two, H.b)
+        product = ((H.p, H.a), (H.q, H.b))
+    return MinimaRealization(
+        case_tag=pattern,
+        triple=triple,
+        alpha=F(two),
+        product_factors=product,
+    )
+
+
+def oracle_mw_relations(H):
+    """Placement of 2g - 2 against the minima triple's range by Fraction
+    comparisons, with the facts checked against ``oracle_toledo``."""
+    t = oracle_toledo(H)
+    realization = oracle_minima_triple_type(H)
+    Tm = realization.triple
+    rng = oracle_alpha_range(Tm)
+    alpha_m = rng.lo
+    alpha_M = rng.hi
+    two = 2 * H.g - 2
+
+    def cmp_sym(x, y):
+        if x < y:
+            return "<"
+        if x == y:
+            return "="
+        return ">"
+
+    facts = [
+        ("two_g_minus_2_ge_alpha_m", two >= alpha_m),
+        ("alpha_m_equality_iff_tau_zero", (two == alpha_m) == (t.tau == 0)),
+    ]
+    alpha_M_vs = None
+    if H.p != H.q:
+        assert alpha_M is not None
+        alpha_M_vs = cmp_sym(F(two), alpha_M)
+        facts.append(
+            ("within_bound_iff_2g2_le_alpha_M", t.within_bound == (two <= alpha_M))
+        )
+        facts.append(
+            ("saturated_iff_2g2_eq_alpha_M", t.saturated == (two == alpha_M))
+        )
+    else:
+        facts.append(
+            ("within_bound_iff_alpha_m_nonneg", t.within_bound == (alpha_m >= 0))
+        )
+        facts.append(("saturated_iff_alpha_m_zero", t.saturated == (alpha_m == 0)))
+    return MWReport(
+        tau=t.tau,
+        tau_M=t.tau_M,
+        within_bound=t.within_bound,
+        saturated=t.saturated,
+        triple=Tm,
+        alpha_m=alpha_m,
+        alpha_M=alpha_M,
+        two_g_minus_2=two,
+        alpha_m_vs_2g2=cmp_sym(alpha_m, F(two)),
+        alpha_M_vs_2g2=alpha_M_vs,
+        facts=tuple(facts),
     )

@@ -40,6 +40,8 @@ ARGVS = [
     ["chambers", *_flags(_T, (1, 2, -1, -3)), "--g", "2"],
     ["higgs", *_flags(_H, (2, 2, 1, -1, 2))],
     ["higgs", *_flags(_H, (1, 2, 2, 1, 2))],
+    ["higgs", *_flags(_H, (2, 1, 4, -3, 2))],
+    ["higgs", *_flags(_H, (1, 1, 5, 0, 2))],
     ["rigidity", *_flags(_H, (1, 2, 2, 1, 2))],
     ["rigidity", *_flags(_H, (2, 2, 0, 0, 2))],
     ["morse", "--ranks", "1,1,1", "--degrees", "2,1,0", "--g", "2"],

@@ -1,5 +1,6 @@
 """Toledo invariant, minima triples, bound placement, rigidity."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -12,12 +13,19 @@ from triplemoduli import (
     RIGIDITY_DIM_WARNING,
     alpha_range,
     coprime_smooth,
+    enumerate_region,
     expected_dim,
     minima_triple_type,
     mw_relations,
     rigidity,
     toledo,
     vanishing_pattern,
+)
+
+from oracles import (
+    oracle_minima_triple_type,
+    oracle_mw_relations,
+    oracle_toledo,
 )
 
 pq = st.integers(min_value=1, max_value=4)
@@ -126,6 +134,54 @@ class TestBoundPlacement:
         rep = mw_relations(H)
         failed = [name for name, ok in rep.facts if not ok]
         assert failed == []
+
+
+class TestBridgeAgainstOracle:
+    """toledo, minima_triple_type and mw_relations give the reports of
+    the Fraction code they replaced, repr for repr."""
+
+    def check(self, types):
+        seen = dict.fromkeys(
+            ("types", "tau_zero", "interior", "saturated",
+             "alpha_M_below_2g2", "alpha_m_negative", "equal_ranks"), 0)
+        for H in types:
+            seen["types"] += 1
+            for fast, slow in (
+                (toledo, oracle_toledo),
+                (minima_triple_type, oracle_minima_triple_type),
+                (mw_relations, oracle_mw_relations),
+            ):
+                assert repr(fast(H)) == repr(slow(H)), (fast.__name__, H)
+            rep = oracle_mw_relations(H)
+            seen["tau_zero"] += rep.tau == 0
+            seen["interior"] += rep.within_bound and not rep.saturated
+            seen["saturated"] += rep.saturated
+            seen["alpha_M_below_2g2"] += rep.alpha_M_vs_2g2 == ">"
+            seen["alpha_m_negative"] += H.p == H.q and rep.alpha_m < 0
+            seen["equal_ranks"] += H.p == H.q
+        return seen
+
+    def test_grid(self):
+        # p, q <= 4, g in {2, 3}, a, b in -12..12: 20,000 types, with
+        # every out-of-bound branch (2g-2 above alpha_M for p != q,
+        # alpha_m < 0 for p = q) well represented.
+        seen = self.check(
+            HiggsType(p, q, a, b, g)
+            for p, q, g, a, b in itertools.product(
+                range(1, 5), range(1, 5), (2, 3), range(-12, 13), range(-12, 13)
+            )
+        )
+        assert seen["types"] == 20000
+        assert min(seen.values()) >= 100, seen
+
+    def test_every_census_class(self):
+        seen = self.check(
+            HiggsType(p, q, cp.a, cp.b, g)
+            for p, q, g in itertools.product(range(1, 7), range(1, 7), range(2, 5))
+            for cp in enumerate_region(p, q, g).points
+        )
+        assert seen["types"] == seen["interior"] + seen["saturated"] == 9087
+        assert seen["alpha_M_below_2g2"] == seen["alpha_m_negative"] == 0
 
 
 class TestCoprimality:

@@ -1,5 +1,6 @@
 """Core triple invariants: ranges, thresholds, Euler pairing, dimensions."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,7 @@ from triplemoduli import (
     witness_check,
 )
 
-from oracles import oracle_alpha_L
+from oracles import oracle_alpha_L, oracle_alpha_range
 
 ranks = st.integers(min_value=1, max_value=5)
 degrees = st.integers(min_value=-12, max_value=12)
@@ -112,6 +113,35 @@ class TestAlphaRange:
         assert (a.lo, a.hi, a.empty, a.single_point) == (
             b.lo, b.hi, b.empty, b.single_point,
         )
+
+
+class TestAlphaRangeAgainstOracle:
+    def test_every_small_type(self):
+        # Ranks 0..6 and degrees -15..15: empty, single-point, equal-rank
+        # and zero-rank types all occur, and a zero-rank type is refused
+        # with the same message.
+        seen = dict.fromkeys(
+            ("empty", "single_point", "equal_ranks", "refused", "other"), 0)
+        for n1, n2 in itertools.product(range(7), repeat=2):
+            if n1 == n2 == 0:
+                continue
+            for d1, d2 in itertools.product(range(-15, 16), repeat=2):
+                T = TripleType(n1, n2, d1, d2)
+                try:
+                    want = oracle_alpha_range(T)
+                except DomainError as err:
+                    with pytest.raises(DomainError) as info:
+                        alpha_range(T)
+                    assert str(info.value) == str(err)
+                    seen["refused"] += 1
+                    continue
+                assert repr(alpha_range(T)) == repr(want), T
+                seen["empty"] += want.empty
+                seen["single_point"] += want.single_point
+                seen["equal_ranks"] += want.hi is None
+                seen["other"] += not (want.empty or want.single_point)
+        assert sum(seen.values()) - seen["equal_ranks"] == 48 * 31 * 31
+        assert min(seen.values()) >= 100, seen
 
 
 class TestThresholds:
