@@ -14,10 +14,11 @@ Imports are deferred: each subcommand's handler imports the math
 modules it calls when it runs, and a usage error imports none. Most of
 a small request is interpreter start-up and imports, and defining the
 frozen result dataclasses is most of the cost of importing a math
-module, so a request defines only the dataclasses it uses. ``walls``
-writes its walls straight from the integer wall scan, as int rows: a
-large request builds no ``Wall``, ``WallWitness`` or ``Fraction`` per
-wall.
+module, so a request defines only the dataclasses it uses. Handlers
+mark the lists that grow with a request (walls, chambers, census rows)
+as blocks of tuples; ``walls`` takes its walls straight from the integer
+wall scan, so a large request builds no ``Wall``, ``WallWitness`` or
+``Fraction`` per wall.
 
 Exit codes: 0 success, 1 domain error (the message names the violated
 precondition), 2 usage error (unknown flags, malformed values). A
@@ -32,8 +33,8 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Optional
 
 from .errors import DomainError
@@ -141,19 +142,21 @@ def _cmd_walls(args) -> tuple[dict, dict, list]:
 
     T = TripleType(args.n1, args.n2, args.d1, args.d2)
     interval = tuple(args.interval) if args.interval is not None else None
-    walls = _Walls(_wall_rows(
+    rows = _wall_rows(
         T,
         interval=interval,
         include_endpoints=args.include_endpoints,
         g=args.g,
-    ))
+    )
+    walls = _Block(rows, _json_walls, _text_walls, _wall_dicts)
     outputs: dict = {"count": len(walls), "walls": walls}
     if args.alpha is not None:
         test = is_critical(T, args.alpha)
+        wits = [(x.n1p, x.n2p, x.dsum) for x in test.witnesses]
         outputs["alpha_test"] = {
             "alpha": test.alpha,
             "critical": test.critical,
-            "witnesses": [(x.n1p, x.n2p, x.dsum) for x in test.witnesses],
+            "witnesses": _rows(wits, 3),
         }
     return outputs, {}, []
 
@@ -167,7 +170,10 @@ def _cmd_chambers(args) -> tuple[dict, dict, list]:
     outputs = {
         **_wire(rep, drop=("chambers", "walls")),
         "count": len(rep.chambers),
-        "chambers": [_wire(c) for c in rep.chambers],
+        "chambers": _Block(
+            map(attrgetter(*_CHAMBER_KEYS), rep.chambers),
+            _json_chambers, _text_chambers, _chamber_dicts,
+        ),
         "walls": [w.alpha for w in rep.walls],
     }
     warnings = []
@@ -255,15 +261,16 @@ def _cmd_census(args) -> tuple[dict, dict, list]:
         raise DomainError("--a and --b must be given together")
     rep = enumerate_region(args.p, args.q, args.g)
     quo = tau_quotient_facts(args.p, args.q)
+
+    def pairs(points):
+        return _rows([(cp.a, cp.b) for cp in points], 2)
+
     outputs: dict = {
         "count": rep.count,
-        "points": [(cp.a, cp.b) for cp in rep.points],
+        "points": pairs(rep.points),
         "coprime_count": len(rep.coprime_points),
-        "coprime_points": [(cp.a, cp.b) for cp in rep.coprime_points],
-        "lines": {
-            str(t): [(cp.a, cp.b) for cp in line]
-            for t, line in rep.lines.items()
-        },
+        "coprime_points": pairs(rep.coprime_points),
+        "lines": {str(t): pairs(line) for t, line in rep.lines.items()},
         "points_per_line": quo.k,
         "quotient": _wire(quo),
         "coprime_and_non_coprime_nonempty": (
@@ -418,31 +425,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Report writers. Both read the report straight from library values
-# (Fraction, int, bool, None, str, tuples, lists, dicts) and walls
-# blocks, and stream it through ``write``, ending in a newline. Walls
-# blocks and lists of equal-length int rows, the two shapes that grow
-# with a request, are formatted a batch at a time from one template per
-# shape.
+# (Fraction, int, bool, None, str, tuples, lists, dicts) and blocks, and
+# stream it through ``write``, ending in a newline. A block is a list
+# that grows with a request, marked by its handler; the writers format
+# it a batch at a time with the renderers it carries, one template per
+# kind of block, and do not look at its items.
 
 _BATCH = 2048
+_WORD = ("false", "true")
 
 
-class _Walls(list):
-    """The walls of a ``walls`` report, as ``walls._wall_rows`` gives
-    them: one (num, den, rows, stabilized) per wall. Written as the list
-    of {"alpha": num/den, "witnesses": rows, "stabilized": ...}; the
-    writers know the block by its type and format it in batches."""
+class _Block(list):
+    """Compact items of a list that grows with a request. ``json(pad)``
+    and ``text(pad)`` give renderers that format a batch of items as list
+    items at ``pad``; ``dicts(items)`` gives the items' report form, for
+    a block written inline."""
 
-    def dicts(self) -> list:
-        """The report form of each wall."""
-        return [
-            {
-                "alpha": num if den == 1 else "%d/%d" % (num, den),
-                "witnesses": rows,
-                "stabilized": stabilized,
-            }
-            for num, den, rows, stabilized in self
-        ]
+    def __init__(self, items, json, text, dicts=list):
+        super().__init__(items)
+        self.json, self.text, self.dicts = json, text, dicts
+
+
+def _rows(items, r: int) -> _Block:
+    """A block of int rows of length r, each its own report form."""
+    return _Block(
+        items, lambda pad: _json_rows(r, pad), lambda pad: _text_rows(r, pad)
+    )
+
+
+def _wall_dicts(walls) -> list:
+    """Report form of walls block items: (num, den, rows, stabilized)."""
+    return [
+        {
+            "alpha": num if den == 1 else "%d/%d" % (num, den),
+            "witnesses": rows,
+            "stabilized": stabilized,
+        }
+        for num, den, rows, stabilized in walls
+    ]
+
+
+# the fields of a ``walls.Chamber``, the items of a chambers block
+_CHAMBER_KEYS = ("lo", "hi", "contains_2g_minus_2", "is_large_chamber")
+
+
+def _chamber_dicts(chambers) -> list:
+    """The report form of chambers block items."""
+    return [dict(zip(_CHAMBER_KEYS, c)) for c in chambers]
 
 
 def _str_keys(d: dict) -> dict:
@@ -452,29 +481,14 @@ def _str_keys(d: dict) -> dict:
 
 
 def _plain(value):
-    """``jsonable(value)``, with a walls block read as its report dicts."""
-    if isinstance(value, _Walls):
-        value = value.dicts()
+    """``jsonable(value)``, with a block read as its report form."""
+    if isinstance(value, _Block):
+        value = value.dicts(value)
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return jsonable(value)
-
-
-def _shape(seq):
-    """Bulk shape of a non-empty sequence: "walls" for a walls block, the
-    row length for a list of int rows of one length, else None."""
-    if isinstance(seq, _Walls):
-        return "walls"
-    if not set(map(type, seq)) <= {list, tuple}:
-        return None
-    lengths = set(map(len, seq))
-    if len(lengths) != 1 or 0 in lengths:
-        return None
-    if set(map(type, chain.from_iterable(seq))) != {int}:
-        return None
-    return lengths.pop()
 
 
 def _write_batched(write, seq, render, sep: str) -> None:
@@ -534,6 +548,23 @@ def _json_walls(pad: str):
     return render
 
 
+def _json_chambers(pad: str):
+    """Renderer of chambers block items as JSON list items at ``pad``."""
+    p1 = pad + "  "
+    item = (
+        '%s{\n%s"contains_2g_minus_2": %%s,\n%s"hi": %%s,\n'
+        '%s"is_large_chamber": %%s,\n%s"lo": %%s\n%s}'
+    ) % (pad, p1, p1, p1, p1, pad)
+
+    def render(chambers):
+        for lo, hi, marker, large in chambers:
+            yield item % (
+                _WORD[marker], _json_scalar(hi), _WORD[large], _json_scalar(lo)
+            )
+
+    return render
+
+
 def _write_json(value, write, pad: str) -> None:
     if isinstance(value, dict):
         value = _str_keys(value)
@@ -553,11 +584,8 @@ def _write_json(value, write, pad: str) -> None:
             return
         inner = pad + "  "
         write("[\n")
-        shape = _shape(value)
-        if shape == "walls":
-            _write_batched(write, value, _json_walls(inner), ",\n")
-        elif shape:
-            _write_batched(write, value, _json_rows(shape, inner), ",\n")
+        if isinstance(value, _Block):
+            _write_batched(write, value, value.json(inner), ",\n")
         else:
             for i, item in enumerate(value):
                 write(",\n" + inner if i else inner)
@@ -581,8 +609,8 @@ def _text_scalar(value) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, _Walls):
-        value = value.dicts()
+    if isinstance(value, _Block):
+        value = value.dicts(value)
     if isinstance(value, (list, tuple)):
         return "[%s]" % ", ".join(map(_text_scalar, value))
     if isinstance(value, (int, Fraction, str)):
@@ -623,6 +651,19 @@ def _text_walls(pad: str):
     return render
 
 
+def _text_chambers(pad: str):
+    """Renderer of chambers block items as text list lines at ``pad``."""
+    item = "%s- lo: %%s\n" % pad + "".join(
+        "%s  %s: %%s\n" % (pad, key) for key in _CHAMBER_KEYS[1:]
+    )
+
+    def render(chambers):
+        for lo, hi, marker, large in chambers:
+            yield item % (lo, hi, _WORD[marker], _WORD[large])
+
+    return render
+
+
 def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
     """Write ``value`` as text lines at ``pad``. A dict that is a list
     item gets ``lead`` ("<pad>- ") in front of its first line, whose own
@@ -646,11 +687,8 @@ def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
         if not value:
             write(pad + "(none)\n")
             return
-        shape = _shape(value)
-        if shape == "walls":
-            _write_batched(write, value, _text_walls(pad), "")
-        elif shape:
-            _write_batched(write, value, _text_rows(shape, pad), "")
+        if isinstance(value, _Block):
+            _write_batched(write, value, value.text(pad), "")
         else:
             for item in value:
                 if isinstance(item, dict):

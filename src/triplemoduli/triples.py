@@ -300,7 +300,10 @@ def thresholds(T: TripleType) -> Thresholds:
         alpha_t = alpha_M - (n1 + n2)/(n2 (n1 - n2))
 
     bounds where it must be surjective-generic. alpha_e is the entry
-    threshold max(alpha_m, alpha_0, alpha_t).
+    threshold max(alpha_m, alpha_0, alpha_t). In integers, with the gap
+    numerator num = d1 n2 - d2 n1 of the dualized type,
+    alpha_j = 2 num/(n2 (n1 - n2) + (j + 1)(n1 + n2)) and
+    alpha_t = (2 num - (n1 + n2))/(n2 (n1 - n2)).
     """
     require_ranks(T, "thresholds")
     dualized = False
@@ -318,15 +321,14 @@ def thresholds(T: TripleType) -> Thresholds:
         )
     n1, n2 = S.n1, S.n2
     n = n1 + n2
+    num2 = 2 * (S.d1 * n2 - S.d2 * n1)
     alpha_js = tuple(
-        2 * n1 * n2 * gap / (n2 * (n1 - n2) + (j + 1) * n)
-        for j in range(n2)
+        Fraction(num2, n2 * (n1 - n2) + (j + 1) * n) for j in range(n2)
     )
     alpha_0 = alpha_js[0]
     alpha_t: Optional[Fraction] = None
     if n1 > n2:
-        assert alpha_M is not None
-        alpha_t = alpha_M - Fraction(n, n2 * (n1 - n2))
+        alpha_t = Fraction(num2 - n, n2 * (n1 - n2))
     candidates = [alpha_m, alpha_0]
     if alpha_t is not None:
         candidates.append(alpha_t)

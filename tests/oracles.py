@@ -11,21 +11,25 @@ found by testing every cell of a grid against the two half-open strips,
 and a canonical representative by searching a window of translates,
 rather than by the closed-form column walk and floor-division shift.
 The CLI report is built the way the CLI first built it, in three steps
-(a dict per ``Wall`` of the public ``enumerate_walls``, ``jsonable`` over
-the whole tree, then ``json.dumps`` or a renderer of the converted
-tree), rather than by one streaming writer over the integer rows of the
-wall scan. The classifier is the ``if`` chain it was first written as,
+(a dict per ``Wall`` of the public ``enumerate_walls`` and per
+``Chamber`` of the public ``chambers``, ``jsonable`` over the whole
+tree, then ``json.dumps`` or a renderer of the converted tree), rather
+than by one streaming writer over the blocks of tuples the handlers
+mark. The classifier is the ``if`` chain it was first written as,
 one branch per case, rather than the ordered table of cases. The Higgs
 bridge (the admissible alpha range, the Toledo invariant, the minima
 triple and the placement of 2g - 2 against its range) is the
 ``Fraction`` arithmetic it was first written in: slopes subtracted,
 Fraction comparisons and a ``MinimaRealization`` built on the way,
-rather than integer gap numerators and cross-multiplication.
+rather than integer gap numerators and cross-multiplication; so are the
+thresholds alpha_j and alpha_t, the slope gap scaled and subtracted in
+Fractions rather than one Fraction each from the gap numerator.
 """
 
 import json
 from fractions import Fraction as F
 
+from triplemoduli.census import enumerate_region
 from triplemoduli.classify import (
     NO,
     TAG_COPRIME,
@@ -56,7 +60,7 @@ from triplemoduli.higgs import (
 )
 from triplemoduli.rationals import jsonable
 from triplemoduli.triples import AlphaInterval, TripleType
-from triplemoduli.walls import enumerate_walls
+from triplemoduli.walls import chambers, enumerate_walls
 
 
 def oracle_walls(T, lo, hi):
@@ -245,13 +249,18 @@ def _oracle_scalar(item):
 
 def oracle_report(argv):
     """stdout of a successful CLI request, built in three steps: a dict
-    per wall of ``enumerate_walls``, ``jsonable`` over the whole envelope,
-    then ``json.dumps`` with ``--json`` or ``oracle_render`` without."""
+    per wall of ``enumerate_walls`` and per chamber of ``chambers``, a
+    list per census point and per witness, ``jsonable`` over the whole
+    envelope, then ``json.dumps`` with ``--json`` or ``oracle_render``
+    without. The lists the handler marks as blocks are all rebuilt here,
+    so none of them is read."""
     args = build_parser().parse_args(argv)
     outputs, citations, warnings = args.handler(args)
+    if args.command in ("walls", "chambers"):
+        T = TripleType(args.n1, args.n2, args.d1, args.d2)
     if args.command == "walls":
         walls = enumerate_walls(
-            TripleType(args.n1, args.n2, args.d1, args.d2),
+            T,
             interval=args.interval and tuple(args.interval),
             include_endpoints=args.include_endpoints,
             g=args.g,
@@ -264,6 +273,28 @@ def oracle_report(argv):
             }
             for w in walls
         ]
+        if args.alpha is not None:
+            outputs["alpha_test"]["witnesses"] = [
+                list(x) for x in oracle_is_critical(T, args.alpha)
+            ]
+    if args.command == "chambers":
+        rep = chambers(T, args.g, cutoff=args.cutoff)
+        outputs["chambers"] = [
+            {
+                "lo": c.lo,
+                "hi": c.hi,
+                "contains_2g_minus_2": c.contains_2g_minus_2,
+                "is_large_chamber": c.is_large_chamber,
+            }
+            for c in rep.chambers
+        ]
+    if args.command == "census":
+        rep = enumerate_region(args.p, args.q, args.g)
+        outputs["points"] = [[x.a, x.b] for x in rep.points]
+        outputs["coprime_points"] = [[x.a, x.b] for x in rep.coprime_points]
+        outputs["lines"] = {
+            t: [[x.a, x.b] for x in line] for t, line in rep.lines.items()
+        }
     inputs = {
         name: value
         for name, value in vars(args).items()
@@ -440,6 +471,28 @@ def oracle_alpha_range(T):
         empty=gap < 0,
         single_point=(gap == 0 and T.n1 != T.n2),
     )
+
+
+def oracle_thresholds(T):
+    """alpha_js, alpha_t and alpha_e of a type with mu1 >= mu2, in
+    Fractions: the slope gap scaled per j, alpha_t subtracted from
+    alpha_M, on the dual when n1 < n2. Returns (alpha_js, alpha_t,
+    alpha_e)."""
+    if T.n1 < T.n2:
+        T = TripleType(T.n2, T.n1, -T.d2, -T.d1)
+    rng = oracle_alpha_range(T)
+    gap, alpha_M = rng.lo, rng.hi
+    n1, n2 = T.n1, T.n2
+    n = n1 + n2
+    alpha_js = tuple(
+        2 * n1 * n2 * gap / (n2 * (n1 - n2) + (j + 1) * n)
+        for j in range(n2)
+    )
+    alpha_t = None
+    if n1 > n2:
+        alpha_t = alpha_M - F(n, n2 * (n1 - n2))
+    alpha_e = max(x for x in (gap, alpha_js[0], alpha_t) if x is not None)
+    return alpha_js, alpha_t, alpha_e
 
 
 def oracle_toledo(H):

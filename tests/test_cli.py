@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from triplemoduli.cli import build_parser, main
+from triplemoduli.cli import _Block, build_parser, main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
 
 
 def run(capsys, *argv):
@@ -264,6 +266,25 @@ class TestWallsCommand:
 
 
 class TestChambersCommand:
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+    def test_a_large_request_wires_no_chamber(self, capsys, monkeypatch, mode):
+        from triplemoduli import cli
+        from triplemoduli.walls import Chamber
+
+        wire = cli._wire
+
+        def refuse_chambers(obj, drop=()):
+            assert not isinstance(obj, Chamber), "wired a Chamber"
+            return wire(obj, drop)
+
+        monkeypatch.setattr(cli, "_wire", refuse_chambers)
+        code, out, err = run(
+            capsys, "chambers", "--n1", "5", "--n2", "3", "--d1", "310",
+            "--d2", "-310", "--g", "2", *mode,
+        )
+        assert code == 0, err
+        assert out.count("is_large_chamber") > 3000
+
     def test_frozen_decomposition(self, capsys):
         rep = run_json(
             capsys, "chambers", "--n1", "2", "--n2", "1", "--d1", "4",
@@ -435,6 +456,41 @@ class TestNegativeRationals:
     def test_malformed_negative_is_still_exit_two(self, capsys, value):
         code, _, _ = run(capsys, "triple", *self.TRIPLE, "--alpha", value)
         assert code == 2
+
+
+def _unmarked_row_lists(value):
+    """The lists and tuples in ``value`` that hold equal-length rows of
+    ints but are not blocks. A block's items are not searched: its own
+    renderer writes them."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _unmarked_row_lists(item)
+    elif isinstance(value, (list, tuple)) and not isinstance(value, _Block):
+        if value and all(
+            isinstance(row, (list, tuple)) and row
+            and len(row) == len(value[0])
+            and all(type(x) is int for x in row)
+            for row in value
+        ):
+            yield value
+        for item in value:
+            yield from _unmarked_row_lists(item)
+
+
+def test_every_list_of_int_rows_in_a_golden_report_is_a_block():
+    # the handlers mark their bulk lists by hand; a list of int rows that
+    # is not a block would be written item by item
+    with open(GOLDEN, encoding="utf-8") as fh:
+        records = json.load(fh)
+    blocks = 0
+    for rec in records:
+        if rec["exit"] != 0:
+            continue
+        args = build_parser().parse_args(rec["argv"])
+        outputs, _, _ = args.handler(args)
+        assert list(_unmarked_row_lists(outputs)) == [], rec["argv"]
+        blocks += sum(isinstance(v, _Block) for v in outputs.values())
+    assert blocks >= 20
 
 
 class TestParser:

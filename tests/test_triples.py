@@ -27,7 +27,7 @@ from triplemoduli import (
     witness_check,
 )
 
-from oracles import oracle_alpha_L, oracle_alpha_range
+from oracles import oracle_alpha_L, oracle_alpha_range, oracle_thresholds
 
 ranks = st.integers(min_value=1, max_value=5)
 degrees = st.integers(min_value=-12, max_value=12)
@@ -196,6 +196,22 @@ class TestThresholds:
                         seen["no_wall"] += want[1] and gap > 0
                         seen["wall"] += not want[1]
         assert min(seen.values()) >= 20, seen
+
+    def test_alpha_js_and_alpha_t_match_oracle(self):
+        # Ranks 1..6 and degrees -9..9 with mu1 >= mu2, input as given:
+        # n1 < n2 goes through the dual, and equal ranks have no alpha_t.
+        count = 0
+        for n1, n2 in itertools.product(range(1, 7), repeat=2):
+            for d1, d2 in itertools.product(range(-9, 10), repeat=2):
+                if d1 * n2 < d2 * n1:
+                    continue
+                T = TripleType(n1, n2, d1, d2)
+                th = thresholds(T)
+                got = (th.alpha_js, th.alpha_t, th.alpha_e)
+                assert got == oracle_thresholds(T), T
+                assert th.alpha_0 == th.alpha_js[0]
+                count += 1
+        assert count == 6638
 
     @given(triple_types())
     @settings(max_examples=300)

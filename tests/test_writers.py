@@ -3,7 +3,8 @@
 ``write_json`` must emit exactly ``json.dumps(jsonable(tree), indent=2,
 sort_keys=True)`` and ``write_text`` exactly the lines of
 ``oracle_render(jsonable(tree))``, on whole CLI reports and on random
-trees of every value kind a report can hold.
+trees of every value kind a report can hold, blocks of every kind
+included.
 """
 
 import contextlib
@@ -16,7 +17,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_render, oracle_report
-from triplemoduli.cli import _Walls, main, write_json, write_text
+from triplemoduli.cli import (
+    _Block,
+    _chamber_dicts,
+    _json_chambers,
+    _json_walls,
+    _rows,
+    _text_chambers,
+    _text_walls,
+    _wall_dicts,
+    main,
+    write_json,
+    write_text,
+)
 from triplemoduli.rationals import jsonable
 
 _T = ("--n1", "--n2", "--d1", "--d2")
@@ -40,6 +53,7 @@ ARGVS = [
     ["census", "--p", "3", "--q", "3", "--g", "3", "--a", "-4", "--b", "2"],
     ["walls", *_flags(_T, (5, 3, 300, -300))],
     ["census", "--p", "5", "--q", "5", "--g", "7"],
+    ["chambers", *_flags(_T, (5, 3, 300, -300)), "--g", "2"],
 ]
 
 
@@ -62,10 +76,10 @@ def written(writer, tree):
     return out.getvalue()
 
 
-def unwalled(tree):
-    """``tree`` with every walls block replaced by its list of report
-    dicts."""
-    if isinstance(tree, _Walls):
+def unblocked(tree):
+    """``tree`` with every block replaced by the list of its items'
+    report forms, each built here from the item."""
+    if isinstance(tree, _Block) and tree.json is _json_walls:
         return [
             {
                 "alpha": F(num, den),
@@ -74,10 +88,21 @@ def unwalled(tree):
             }
             for num, den, rows, stabilized in tree
         ]
+    if isinstance(tree, _Block) and tree.json is _json_chambers:
+        return [
+            {
+                "lo": lo,
+                "hi": hi,
+                "contains_2g_minus_2": marker,
+                "is_large_chamber": large,
+            }
+            for lo, hi, marker, large in tree
+        ]
     if isinstance(tree, dict):
-        return {k: unwalled(v) for k, v in tree.items()}
+        return {k: unblocked(v) for k, v in tree.items()}
     if isinstance(tree, (list, tuple)):
-        return [unwalled(v) for v in tree]
+        # a rows block lands here: each row is its own report form
+        return [unblocked(v) for v in tree]
     return tree
 
 
@@ -107,18 +132,31 @@ _walls = st.lists(
         st.booleans(),
     ).map(lambda w: (w[0].numerator, w[0].denominator, w[1], w[2])),
     max_size=3,
-).map(_Walls)
-_rows = st.integers(1, 3).flatmap(
+).map(lambda items: _Block(items, _json_walls, _text_walls, _wall_dicts))
+# chambers blocks as the chambers handler builds them from Chambers
+_chambers = st.lists(
+    st.tuples(
+        st.fractions(max_denominator=6),
+        st.fractions(max_denominator=6),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=3,
+).map(
+    lambda items: _Block(items, _json_chambers, _text_chambers, _chamber_dicts)
+)
+# equal-length int rows: as a rows block, or unmarked for the generic path
+_int_rows = st.integers(1, 3).flatmap(
     lambda r: st.lists(
         st.lists(_ints, min_size=r, max_size=r).map(tuple)
         | st.lists(_ints, min_size=r, max_size=r),
-        min_size=1, max_size=4,
-    )
+        max_size=4,
+    ).flatmap(lambda rows: st.sampled_from([rows, _rows(rows, r)]))
 )
 # a list item dict whose first key starts with whitespace loses it in text
 _LEADING_SPACE = [{" k": 1, "j": [(1, 2)]}, ({"\t": {}},), [{}]]
 trees = st.recursive(
-    _scalars | _walls | _rows,
+    _scalars | _walls | _chambers | _int_rows,
     lambda kids: st.lists(kids, max_size=4)
     | st.lists(kids, max_size=4).map(tuple)
     | st.dictionaries(_keys, kids, max_size=4),
@@ -130,7 +168,7 @@ trees = st.recursive(
 @given(trees)
 @example(_LEADING_SPACE)
 def test_json_writer_matches_json_dumps(tree):
-    expected = json.dumps(jsonable(unwalled(tree)), indent=2, sort_keys=True)
+    expected = json.dumps(jsonable(unblocked(tree)), indent=2, sort_keys=True)
     assert written(write_json, tree) == expected + "\n"
 
 
@@ -138,7 +176,7 @@ def test_json_writer_matches_json_dumps(tree):
 @given(trees)
 @example(_LEADING_SPACE)
 def test_text_writer_matches_the_renderer(tree):
-    expected = "\n".join(oracle_render(jsonable(unwalled(tree))))
+    expected = "\n".join(oracle_render(jsonable(unblocked(tree))))
     assert written(write_text, tree) == expected + "\n"
 
 
