@@ -15,10 +15,10 @@ modules it calls when it runs, and a usage error imports none. Most of
 a small request is interpreter start-up and imports, and defining the
 frozen result dataclasses is most of the cost of importing a math
 module, so a request defines only the dataclasses it uses. Handlers
-mark the lists that grow with a request (walls, chambers, census rows)
-as blocks of tuples; ``walls`` takes its walls straight from the integer
-wall scan, so a large request builds no ``Wall``, ``WallWitness`` or
-``Fraction`` per wall.
+mark the lists of tuples that grow with a request (walls, census rows)
+as blocks; ``walls`` takes its walls straight from the integer wall
+scan, so a large request builds no ``Wall``, ``WallWitness`` or
+``Fraction`` per wall. ``chambers`` builds its chamber dicts itself.
 
 Exit codes: 0 success, 1 domain error (the message names the violated
 precondition), 2 usage error (unknown flags, malformed values). A
@@ -34,7 +34,6 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Optional
 
 from .errors import DomainError
@@ -170,10 +169,16 @@ def _cmd_chambers(args) -> tuple[dict, dict, list]:
     outputs = {
         **_wire(rep, drop=("chambers", "walls")),
         "count": len(rep.chambers),
-        "chambers": _Block(
-            map(attrgetter(*_CHAMBER_KEYS), rep.chambers),
-            _json_chambers, _text_chambers, _chamber_dicts,
-        ),
+        # report dicts built here, so no Chamber goes through _wire
+        "chambers": [
+            {
+                "lo": c.lo,
+                "hi": c.hi,
+                "contains_2g_minus_2": c.contains_2g_minus_2,
+                "is_large_chamber": c.is_large_chamber,
+            }
+            for c in rep.chambers
+        ],
         "walls": [w.alpha for w in rep.walls],
     }
     warnings = []
@@ -432,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 # kind of block, and do not look at its items.
 
 _BATCH = 2048
-_WORD = ("false", "true")
 
 
 class _Block(list):
@@ -463,15 +467,6 @@ def _wall_dicts(walls) -> list:
         }
         for num, den, rows, stabilized in walls
     ]
-
-
-# the fields of a ``walls.Chamber``, the items of a chambers block
-_CHAMBER_KEYS = ("lo", "hi", "contains_2g_minus_2", "is_large_chamber")
-
-
-def _chamber_dicts(chambers) -> list:
-    """The report form of chambers block items."""
-    return [dict(zip(_CHAMBER_KEYS, c)) for c in chambers]
 
 
 def _str_keys(d: dict) -> dict:
@@ -543,23 +538,6 @@ def _json_walls(pad: str):
                 "%d" % num if den == 1 else '"%d/%d"' % (num, den),
                 mid[stabilized],
                 "[\n" + body + tail if body else "[]\n%s}" % pad,
-            )
-
-    return render
-
-
-def _json_chambers(pad: str):
-    """Renderer of chambers block items as JSON list items at ``pad``."""
-    p1 = pad + "  "
-    item = (
-        '%s{\n%s"contains_2g_minus_2": %%s,\n%s"hi": %%s,\n'
-        '%s"is_large_chamber": %%s,\n%s"lo": %%s\n%s}'
-    ) % (pad, p1, p1, p1, p1, pad)
-
-    def render(chambers):
-        for lo, hi, marker, large in chambers:
-            yield item % (
-                _WORD[marker], _json_scalar(hi), _WORD[large], _json_scalar(lo)
             )
 
     return render
@@ -647,19 +625,6 @@ def _text_walls(pad: str):
                 "\n" + body if body else " []\n",
                 tail[stabilized],
             )
-
-    return render
-
-
-def _text_chambers(pad: str):
-    """Renderer of chambers block items as text list lines at ``pad``."""
-    item = "%s- lo: %%s\n" % pad + "".join(
-        "%s  %s: %%s\n" % (pad, key) for key in _CHAMBER_KEYS[1:]
-    )
-
-    def render(chambers):
-        for lo, hi, marker, large in chambers:
-            yield item % (lo, hi, _WORD[marker], _WORD[large])
 
     return render
 

@@ -490,7 +490,8 @@ def test_every_list_of_int_rows_in_a_golden_report_is_a_block():
         outputs, _, _ = args.handler(args)
         assert list(_unmarked_row_lists(outputs)) == [], rec["argv"]
         blocks += sum(isinstance(v, _Block) for v in outputs.values())
-    assert blocks >= 20
+    # the walls and census goldens mark 12 top-level lists
+    assert blocks >= 12
 
 
 class TestParser:

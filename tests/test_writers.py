@@ -19,11 +19,8 @@ from hypothesis import strategies as st
 from oracles import oracle_render, oracle_report
 from triplemoduli.cli import (
     _Block,
-    _chamber_dicts,
-    _json_chambers,
     _json_walls,
     _rows,
-    _text_chambers,
     _text_walls,
     _wall_dicts,
     main,
@@ -88,16 +85,6 @@ def unblocked(tree):
             }
             for num, den, rows, stabilized in tree
         ]
-    if isinstance(tree, _Block) and tree.json is _json_chambers:
-        return [
-            {
-                "lo": lo,
-                "hi": hi,
-                "contains_2g_minus_2": marker,
-                "is_large_chamber": large,
-            }
-            for lo, hi, marker, large in tree
-        ]
     if isinstance(tree, dict):
         return {k: unblocked(v) for k, v in tree.items()}
     if isinstance(tree, (list, tuple)):
@@ -133,18 +120,6 @@ _walls = st.lists(
     ).map(lambda w: (w[0].numerator, w[0].denominator, w[1], w[2])),
     max_size=3,
 ).map(lambda items: _Block(items, _json_walls, _text_walls, _wall_dicts))
-# chambers blocks as the chambers handler builds them from Chambers
-_chambers = st.lists(
-    st.tuples(
-        st.fractions(max_denominator=6),
-        st.fractions(max_denominator=6),
-        st.booleans(),
-        st.booleans(),
-    ),
-    max_size=3,
-).map(
-    lambda items: _Block(items, _json_chambers, _text_chambers, _chamber_dicts)
-)
 # equal-length int rows: as a rows block, or unmarked for the generic path
 _int_rows = st.integers(1, 3).flatmap(
     lambda r: st.lists(
@@ -156,7 +131,7 @@ _int_rows = st.integers(1, 3).flatmap(
 # a list item dict whose first key starts with whitespace loses it in text
 _LEADING_SPACE = [{" k": 1, "j": [(1, 2)]}, ({"\t": {}},), [{}]]
 trees = st.recursive(
-    _scalars | _walls | _chambers | _int_rows,
+    _scalars | _walls | _int_rows,
     lambda kids: st.lists(kids, max_size=4)
     | st.lists(kids, max_size=4).map(tuple)
     | st.dictionaries(_keys, kids, max_size=4),
