@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 
@@ -24,4 +25,15 @@ def require_int(name: str, value, minimum: Optional[int] = None) -> None:
         raise DomainError(
             "%s must be an integer%s"
             % (name, "" if minimum is None else " >= %d" % minimum)
+        )
+
+
+def require_rational(name: str, value) -> None:
+    """Raise DomainError unless value is an int (bools excluded) or a
+    Fraction. Fraction() would also take a float or a string, so 0.1
+    would silently become 3602879701896397/36028797018963968."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise DomainError(
+            "%s must be an integer or a Fraction, not %s"
+            % (name, type(value).__name__)
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_int, require_rational
 from .rationals import Rational
 
 
@@ -182,6 +182,7 @@ def triple_slope(T: TripleType) -> Rational:
 
 def alpha_slope(T: TripleType, alpha: Rational) -> Rational:
     """alpha-slope mu_alpha(T) = mu(T) + alpha * n2/(n1 + n2)."""
+    require_rational("alpha", alpha)
     a = Fraction(alpha)
     return triple_slope(T) + a * Fraction(T.n2, T.total_rank)
 
@@ -216,6 +217,7 @@ def witness_check(
     items valid and satisfied. Witnesses certify only themselves: this
     checks certificates, it does not decide alpha-stability.
     """
+    require_rational("alpha", alpha)
     a = Fraction(alpha)
     items = []
     passed = True

@@ -23,10 +23,15 @@ triple and the placement of 2g - 2 against its range) is the
 Fraction comparisons and a ``MinimaRealization`` built on the way,
 rather than integer gap numerators and cross-multiplication; so are the
 thresholds alpha_j and alpha_t, the slope gap scaled and subtracted in
-Fractions rather than one Fraction each from the gap numerator.
+Fractions rather than one Fraction each from the gap numerator. The
+per-wall records ``WallWitness``, ``Wall`` and ``Chamber`` have twins
+here that are plain frozen dataclasses, as the library first defined
+them, rather than slotted records whose ``__init__`` writes through the
+slot descriptors.
 """
 
 import json
+from dataclasses import dataclass, fields
 from fractions import Fraction as F
 
 from triplemoduli.census import enumerate_region
@@ -58,9 +63,56 @@ from triplemoduli.higgs import (
     rigidity,
     vanishing_pattern,
 )
-from triplemoduli.rationals import jsonable
+from triplemoduli.rationals import Rational, jsonable
 from triplemoduli.triples import AlphaInterval, TripleType
 from triplemoduli.walls import chambers, enumerate_walls
+
+
+@dataclass(frozen=True)
+class WallWitness:
+    """Numerically admissible subobject data (n1', n2', d1'+d2')."""
+
+    n1p: int
+    n2p: int
+    dsum: int
+
+
+@dataclass(frozen=True)
+class Wall:
+    """A critical parameter value with its arithmetic witnesses."""
+
+    alpha: Rational
+    witnesses: tuple[WallWitness, ...]
+    stabilized: bool = False
+
+
+@dataclass(frozen=True)
+class Chamber:
+    """Maximal open parameter interval containing no wall."""
+
+    lo: Rational
+    hi: Rational
+    contains_2g_minus_2: bool
+    is_large_chamber: bool
+
+
+_TWINS = {
+    cls.__name__: (cls, [f.name for f in fields(cls)])
+    for cls in (WallWitness, Wall, Chamber)
+}
+
+
+def oracle_twin(value):
+    """A library WallWitness, Wall or Chamber (or a tuple of them) rebuilt
+    as its plain frozen-dataclass twin above, field by field in the twin's
+    order; any other value is returned as it is."""
+    if isinstance(value, tuple):
+        return tuple(map(oracle_twin, value))
+    twin = _TWINS.get(type(value).__name__)
+    if twin is None:
+        return value
+    cls, names = twin
+    return cls(*[oracle_twin(getattr(value, name)) for name in names])
 
 
 def oracle_walls(T, lo, hi):

@@ -379,3 +379,51 @@ def test_zero_rank_refusal_names_the_function(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+T21 = TripleType(2, 1, 4, 1)
+T11 = TripleType(1, 1, 1, 0)
+
+# every caller-facing rational parameter: how to pass it, and its name
+RATIONAL_PARAMETERS = {
+    "alpha_slope": (lambda x: alpha_slope(T21, x), "alpha"),
+    "delta_alpha": (
+        lambda x: delta_alpha(T21, TripleType(0, 1, 0, 0), x),
+        "alpha",
+    ),
+    "witness_check": (
+        lambda x: witness_check(T21, [TripleType(0, 1, 0, 0)], x),
+        "alpha",
+    ),
+    "is_critical": (lambda x: is_critical(T21, x), "alpha"),
+    "enumerate_walls lo": (
+        lambda x: enumerate_walls(T21, interval=(x, F(4))),
+        "interval lo",
+    ),
+    "enumerate_walls hi": (
+        lambda x: enumerate_walls(T21, interval=(F(1), x)),
+        "interval hi",
+    ),
+    "chambers equal ranks": (lambda x: chambers(T11, 2, cutoff=x), "cutoff"),
+    # not used for unequal ranks, but still checked
+    "chambers": (lambda x: chambers(T21, 2, cutoff=x), "cutoff"),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.1, 2.0, True, "1/2", float("nan"), float("inf")],
+    ids=["float", "integral-float", "bool", "str", "nan", "inf"],
+)
+@pytest.mark.parametrize("site", sorted(RATIONAL_PARAMETERS))
+def test_a_rational_parameter_takes_only_int_or_fraction(site, value):
+    call, name = RATIONAL_PARAMETERS[site]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == "%s must be an integer or a Fraction, not %s" % (
+        name,
+        type(value).__name__,
+    )
+    # an int or a Fraction is taken
+    call(3)
+    call(F(7, 2))

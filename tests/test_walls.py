@@ -1,7 +1,12 @@
 """Wall sets against a brute-force oracle, chambers, and flip data."""
 
+import copy
+import dataclasses
+import itertools
 import math
+import pickle
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -27,11 +32,13 @@ from triplemoduli import (
     is_critical,
     wall_alpha,
 )
+from triplemoduli import walls as walls_module
 from triplemoduli.walls import _wall_plan, _wall_rows
 
 from oracles import (
     oracle_critical_at_integer,
     oracle_is_critical,
+    oracle_twin,
     oracle_walls,
 )
 
@@ -554,3 +561,199 @@ class TestFlipDims:
         T = TripleType(2, 1, 4, 1)
         fd = flip_dims(T, TripleType(2, 0, 5, 0), 2)
         assert fd.fiber_nonempty == (fd.fiber_dim >= 0)
+
+
+# one record of each slotted class: its field values, field names, repr
+# and another value for its last field
+RECORDS = [
+    (
+        WallWitness,
+        (0, 1, -2),
+        ("n1p", "n2p", "dsum"),
+        "WallWitness(n1p=0, n2p=1, dsum=-2)",
+        3,
+    ),
+    (
+        Wall,
+        (F(5, 2), (WallWitness(0, 1, 0), WallWitness(2, 0, 5)), True),
+        ("alpha", "witnesses", "stabilized"),
+        "Wall(alpha=Fraction(5, 2), witnesses=(WallWitness(n1p=0, n2p=1, "
+        "dsum=0), WallWitness(n1p=2, n2p=0, dsum=5)), stabilized=True)",
+        False,
+    ),
+    (
+        Chamber,
+        (F(1), F(5, 2), True, False),
+        ("lo", "hi", "contains_2g_minus_2", "is_large_chamber"),
+        "Chamber(lo=Fraction(1, 1), hi=Fraction(5, 2), "
+        "contains_2g_minus_2=True, is_large_chamber=False)",
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values, names, text, other",
+    RECORDS,
+    ids=[r[0].__name__ for r in RECORDS],
+)
+class TestSlottedRecordContract:
+    """WallWitness, Wall and Chamber are slotted, with an __init__ of
+    their own, yet behave as the plain frozen dataclasses they were."""
+
+    def test_positional_and_keyword_construction(
+        self, cls, values, names, text, other
+    ):
+        rec = cls(*values)
+        assert rec == cls(**dict(zip(names, values)))
+        assert tuple(getattr(rec, name) for name in names) == values
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{names[-1]: values[-1], "extra": 1})
+
+    def test_fields_eq_hash_and_repr(self, cls, values, names, text, other):
+        rec = cls(*values)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        assert rec == cls(*values)
+        assert rec != cls(*values[:-1], other)
+        assert rec != values
+        assert hash(rec) == hash(values)
+        assert repr(rec) == text
+
+    def test_frozen_on_set_and_delete(self, cls, values, names, text, other):
+        rec = cls(*values)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, other)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rec, name)
+        # not a field, and no __dict__ to hold it: refused as in the
+        # plain frozen dataclass, not with a TypeError from super()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del rec.extra
+        assert tuple(getattr(rec, name) for name in names) == values
+
+    def test_replace_pickle_and_copy(self, cls, values, names, text, other):
+        rec = cls(*values)
+        changed = dataclasses.replace(rec, **{names[-1]: other})
+        assert type(changed) is cls
+        assert changed == cls(*values[:-1], other)
+        assert rec == cls(*values)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(rec, protocol))
+            assert type(back) is cls and back == rec
+        for dup in (copy.copy(rec), copy.deepcopy(rec)):
+            assert type(dup) is cls and dup == rec and repr(dup) == text
+
+    def test_no_instance_dict_and_no_weak_references(
+        self, cls, values, names, text, other
+    ):
+        rec = cls(*values)
+        assert cls.__slots__ == names
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(rec)
+
+
+def test_wall_stabilized_defaults_to_false():
+    assert Wall(F(3), ()).stabilized is False
+    assert Wall(F(3), ()) == Wall(alpha=F(3), witnesses=(), stabilized=False)
+
+
+class TestRecordsAgainstPlainTwins:
+    def test_the_integer_keyed_scan_sweep(self):
+        """Every Wall (with its witnesses) and Chamber returned on ranks
+        1-4, degrees -6..6 and g in {2, 3} has the repr, hash and astuple
+        of its plain frozen-dataclass twin in tests/oracles.py."""
+        records = 0
+        for n1, n2, d1, d2 in itertools.product(
+            range(1, 5), range(1, 5), range(-6, 7), range(-6, 7)
+        ):
+            T = TripleType(n1, n2, d1, d2)
+            rng = alpha_range(T)
+            if rng.empty:
+                continue
+            for g in (2, 3):
+                outputs = []
+                if n1 == n2 or g == 2:
+                    outputs.append(enumerate_walls(T, g=g))
+                if not rng.single_point:
+                    outputs.append(chambers(T, g).chambers)
+                for out in outputs:
+                    twin = oracle_twin(out)
+                    assert repr(out) == repr(twin)
+                    assert list(map(hash, out)) == list(map(hash, twin))
+                    assert list(map(dataclasses.astuple, out)) == list(
+                        map(dataclasses.astuple, twin)
+                    )
+                    records += len(out)
+        assert records > 60000
+
+
+def counting_stub(cls, made):
+    """A stand-in for cls that counts its calls and builds the record."""
+
+    def stub(*args, **kwargs):
+        made[cls.__name__] += 1
+        return cls(*args, **kwargs)
+
+    return stub
+
+
+class TestRecordsAreBuiltThroughTheirClassNames:
+    """The scan builds each record through the module-level class name.
+    The CLI's stub test (test_a_large_request_builds_no_wall_objects)
+    relies on that: a factory that bypassed the names would make it pass
+    without checking anything, and fail these instead."""
+
+    TYPES = [
+        TripleType(2, 1, 4, 1),
+        TripleType(3, 2, 40, -40),
+        TripleType(4, 4, 9, -7),
+        TripleType(5, 3, 31, -31),
+    ]
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = dict.fromkeys(["WallWitness", "Wall", "Chamber"], 0)
+        for cls in (WallWitness, Wall, Chamber):
+            monkeypatch.setattr(
+                walls_module, cls.__name__, counting_stub(cls, made)
+            )
+        return made
+
+    @pytest.mark.parametrize("include_endpoints", [False, True])
+    def test_enumerate_walls_once_per_candidate_and_wall(
+        self, made, include_endpoints
+    ):
+        for T in self.TYPES:
+            kwargs = {"include_endpoints": include_endpoints, "g": 2}
+            expected = _wall_rows(T, **kwargs)
+            made.update(dict.fromkeys(made, 0))
+            walls = enumerate_walls(T, **kwargs)
+            assert len(walls) == len(expected) == made["Wall"]
+            # endpoint witnesses are built, then dropped with their key
+            assert made["WallWitness"] == plan_candidates(T, g=2)
+            if include_endpoints:
+                witnesses = sum(len(w.witnesses) for w in walls)
+                assert made["WallWitness"] == witnesses
+
+    def test_is_critical_once_per_witness(self, made):
+        for T in self.TYPES:
+            for w in enumerate_walls(T, g=2):
+                made.update(dict.fromkeys(made, 0))
+                assert is_critical(T, w.alpha).witnesses == w.witnesses
+                assert made["WallWitness"] == len(w.witnesses)
+                assert made["Wall"] == 0
+
+    def test_chambers_once_per_chamber(self, made):
+        for T in self.TYPES:
+            made.update(dict.fromkeys(made, 0))
+            rep = chambers(T, 2)
+            assert made["Chamber"] == len(rep.chambers)
+            # a wall at the top of an equal-rank window is built, then
+            # dropped
+            assert made["Wall"] - len(rep.walls) in (0, 1)
