@@ -22,14 +22,13 @@ kernel of size k generated by (p/k, q/k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, require_int
+from .errors import DomainError, record, require_int
 from .rationals import Rational
 
 
-@dataclass(frozen=True)
+@record
 class ClassPair:
     """An integer pair (a, b); canonical means it is the distinguished
     representative of its translation class."""
@@ -43,7 +42,7 @@ class ClassPair:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
+@record
 class CensusReport:
     """Full enumeration of component classes for one (p, q, g)."""
 
@@ -56,7 +55,7 @@ class CensusReport:
     lines: dict[int, tuple[ClassPair, ...]]
 
 
-@dataclass(frozen=True)
+@record
 class TauQuotientFacts:
     """How tau sits on translation classes: it descends to the class
     set, hits a lattice of step 2k/(p+q), and identifies k classes per
@@ -68,7 +67,7 @@ class TauQuotientFacts:
     kernel_generator: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@record
 class CoprimePartition:
     """Census split by the class-invariant test gcd(p+q, a+b) = 1."""
 

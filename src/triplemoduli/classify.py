@@ -22,9 +22,9 @@ fibres. No smoothness claim is ever made for R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .errors import record
 from .higgs import (
     HiggsType,
     RigidityReport,
@@ -51,7 +51,7 @@ TAG_CORRESPONDENCE = "higgs-representation-correspondence"
 TAG_FIBRATION = "jacobian-fibration-descent"
 
 
-@dataclass(frozen=True)
+@record
 class SubspaceVerdict:
     """Answers for one of the derived representation varieties."""
 
@@ -62,7 +62,7 @@ class SubspaceVerdict:
     smooth_of_expected_dim: str
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Everything the case analysis settles for one (p, q, a, b, g).
 

@@ -19,16 +19,15 @@ with p != q (rigidity), whose total dimension falls below the expected one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import require_int
+from .errors import record, require_int
 from .rationals import Rational
 from .triples import TripleType, alpha_range
 
 
-@dataclass(frozen=True)
+@record
 class HiggsType:
     """Discrete type (p, q, a, b) on a curve of genus g."""
 
@@ -54,15 +53,19 @@ class HiggsType:
         return self.a + self.b
 
 
-@dataclass(frozen=True)
+@record
 class ToledoReport:
+    """Toledo invariant tau, its bound tau_M = min(p, q)(2g - 2), and the
+    flags |tau| <= tau_M (``within_bound``) and |tau| = tau_M
+    (``saturated``)."""
+
     tau: Rational
     tau_M: int
     within_bound: bool
     saturated: bool
 
 
-@dataclass(frozen=True)
+@record
 class MinimaRealization:
     """Triple-moduli description of the Morse minima for one Higgs type.
 
@@ -79,7 +82,7 @@ class MinimaRealization:
     product_factors: Optional[tuple[tuple[int, int], tuple[int, int]]]
 
 
-@dataclass(frozen=True)
+@record
 class MWReport:
     """Placement of 2g - 2 against the minima triple's thresholds.
 
@@ -102,7 +105,7 @@ class MWReport:
     facts: tuple[tuple[str, bool], ...]
 
 
-@dataclass(frozen=True)
+@record
 class RigidityReport:
     """Forced decomposition at |tau| = tau_M with p != q.
 

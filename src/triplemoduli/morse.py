@@ -17,16 +17,14 @@ non-realizability advisory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DomainError, require_int
+from .errors import DomainError, record, require_int
 
 MORSE_NEGATIVE_ADVISORY = (
     "negative index: not realizable as a stable critical point"
 )
 
 
-@dataclass(frozen=True)
+@record
 class HodgeChain:
     """Ranks and degrees (r_1..r_m, e_1..e_m) of a chain of length m."""
 

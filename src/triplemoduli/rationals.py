@@ -20,11 +20,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import require_rational
+
 Rational = Fraction
 
 
 def rat_str(x: Fraction | int) -> str:
-    """Render exactly: ``5`` -> "5", ``Fraction(5, 2)`` -> "5/2"."""
+    """Render exactly: ``5`` -> "5", ``Fraction(5, 2)`` -> "5/2".
+
+    Anything but an int or a Fraction (a float, a bool, a string) raises
+    DomainError, as Fraction() would take it inexactly or unparsed.
+    """
+    require_rational("x", x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)

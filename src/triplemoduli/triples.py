@@ -23,15 +23,14 @@ Violated preconditions raise :class:`~triplemoduli.errors.DomainError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError, require_int, require_rational
+from .errors import DomainError, record, require_int, require_rational
 from .rationals import Rational
 
 
-@dataclass(frozen=True)
+@record
 class TripleType:
     """Discrete type (n1, n2, d1, d2) of a holomorphic triple.
 
@@ -73,7 +72,7 @@ def require_ranks(
         raise DomainError("%s needs %s >= 1" % (caller, ranks))
 
 
-@dataclass(frozen=True)
+@record
 class WitnessOutcome:
     """Evaluation of one claimed destabilizer against a triple."""
 
@@ -83,7 +82,7 @@ class WitnessOutcome:
     error: Optional[str]
 
 
-@dataclass(frozen=True)
+@record
 class WitnessReport:
     """Result of checking a list of subtriple candidates at one alpha.
 
@@ -99,7 +98,7 @@ class WitnessReport:
     items: tuple[WitnessOutcome, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AlphaInterval:
     """Admissible stability parameters for a type.
 
@@ -114,7 +113,7 @@ class AlphaInterval:
     single_point: bool
 
 
-@dataclass(frozen=True)
+@record
 class Thresholds:
     """Named parameter thresholds of a type with mu1 >= mu2.
 
@@ -139,7 +138,7 @@ class Thresholds:
     dualized: bool
 
 
-@dataclass(frozen=True)
+@record
 class BaseFactor:
     """One factor of the base of the large-alpha fibration.
 
@@ -152,7 +151,7 @@ class BaseFactor:
     degree: int
 
 
-@dataclass(frozen=True)
+@record
 class FibrationDims:
     """Projective fiber dimension and base of the large-alpha fibration.
 
@@ -341,23 +340,25 @@ def thresholds(T: TripleType) -> Thresholds:
     else:
         # largest interior wall. A rank pair and its complement
         # (n1 - n1', n2 - n2') have opposite det and the same walls, so
-        # only det < 0 is scanned; there the wall falls as d' grows, and
-        # the largest one below alpha_M = P/Q is at d' = floor(x/(Q n)) + 1
-        # with x = P det + Q (n1' + n2') D. The best wall so far is kept
-        # as num/den with den > 0 and compared by cross-multiplying.
+        # only det = n1' n2 - n1 n2' < 0 is scanned, that is
+        # n2' > n1' n2 / n1, which also leaves out (0, 0); there the wall
+        # falls as d' grows, and the largest one below alpha_M = P/Q is at
+        # d' = floor(x/(Q n)) + 1 with x = P det + Q (n1' + n2') D. The
+        # best wall so far is kept as num/den with den > 0 and compared by
+        # cross-multiplying.
         assert alpha_M is not None
         D = S.total_degree
         P, Q = alpha_M.numerator, alpha_M.denominator
         Qn = Q * n
         num, den = alpha_m.numerator, alpha_m.denominator
         fallback = True
-        for n1p, n2p, det in _admissible_rank_pairs(S):
-            if det > 0:
-                continue
-            nD = (n1p + n2p) * D
-            wall = nD - n * ((P * det + Q * nD) // Qn + 1)
-            if wall * den > num * -det:
-                num, den, fallback = wall, -det, False
+        for n1p in range(n1 + 1):
+            for n2p in range(n1p * n2 // n1 + 1, n2 + 1):
+                det = n1p * n2 - n1 * n2p
+                nD = (n1p + n2p) * D
+                wall = nD - n * ((P * det + Q * nD) // Qn + 1)
+                if wall * den > num * -det:
+                    num, den, fallback = wall, -det, False
         alpha_L = alpha_m if fallback else Fraction(num, den)
     return Thresholds(
         alpha_m=alpha_m,

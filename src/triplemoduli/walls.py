@@ -25,14 +25,6 @@ plan (_wall_plan) is shared: enumerate_walls groups it into Wall and
 WallWitness objects, and the CLI writes walls straight from the same
 integer scan (_wall_rows), as int rows with alpha in lowest terms,
 building no Fraction or dataclass per wall.
-
-A large scan builds tens of thousands of WallWitness, Wall and Chamber
-records, so these three are slotted frozen dataclasses: no __dict__ and
-no weak references, and an __init__ that stores each field through its
-slot descriptor instead of the frozen __setattr__. That about halves
-their construction time and cuts their memory by about a third. They
-compare, hash, print, copy, pickle and raise FrozenInstanceError as
-plain frozen dataclasses do.
 """
 
 from __future__ import annotations
@@ -40,11 +32,10 @@ from __future__ import annotations
 import bisect
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, require_int, require_rational
+from .errors import DomainError, record, require_int, require_rational
 from .rationals import Rational
 from .triples import (
     TripleType,
@@ -57,26 +48,7 @@ from .triples import (
 )
 
 
-def _slotted(cls) -> tuple:
-    """Finish a frozen slotted record class: return the __set__ of each
-    field's slot descriptor, in field order, for its __init__ to store
-    through instead of the frozen __setattr__.
-
-    slots=True builds a new class, but the frozen __setattr__ and
-    __delattr__ it copies still test ``type(self) is`` the class it
-    replaced, so setting or deleting a name that is not a field would
-    raise TypeError from super() instead of FrozenInstanceError; they are
-    pointed at the new class.
-    """
-    for method in (cls.__setattr__, cls.__delattr__):
-        for cell in method.__closure__ or ():
-            old = cell.cell_contents
-            if isinstance(old, type) and old.__qualname__ == cls.__qualname__:
-                cell.cell_contents = cls
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class WallWitness:
     """Numerically admissible subobject data (n1', n2', d1'+d2')."""
 
@@ -84,16 +56,8 @@ class WallWitness:
     n2p: int
     dsum: int
 
-    def __init__(self, n1p: int, n2p: int, dsum: int) -> None:
-        _set_n1p(self, n1p)
-        _set_n2p(self, n2p)
-        _set_dsum(self, dsum)
 
-
-_set_n1p, _set_n2p, _set_dsum = _slotted(WallWitness)
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class Wall:
     """A critical parameter value with its arithmetic witnesses.
 
@@ -106,21 +70,8 @@ class Wall:
     witnesses: tuple[WallWitness, ...]
     stabilized: bool = False
 
-    def __init__(
-        self,
-        alpha: Rational,
-        witnesses: tuple[WallWitness, ...],
-        stabilized: bool = False,
-    ) -> None:
-        _set_alpha(self, alpha)
-        _set_witnesses(self, witnesses)
-        _set_stabilized(self, stabilized)
 
-
-_set_alpha, _set_witnesses, _set_stabilized = _slotted(Wall)
-
-
-@dataclass(frozen=True)
+@record
 class WallTest:
     """Answer of is_critical at one parameter value."""
 
@@ -129,7 +80,7 @@ class WallTest:
     witnesses: tuple[WallWitness, ...]
 
 
-@dataclass(frozen=True)
+@record
 class GenericityFacts:
     """Sufficient-condition checks for an integer parameter m.
 
@@ -143,7 +94,7 @@ class GenericityFacts:
     no_alpha_independent: bool
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class Chamber:
     """Maximal open parameter interval containing no wall."""
 
@@ -152,23 +103,8 @@ class Chamber:
     contains_2g_minus_2: bool
     is_large_chamber: bool
 
-    def __init__(
-        self,
-        lo: Rational,
-        hi: Rational,
-        contains_2g_minus_2: bool,
-        is_large_chamber: bool,
-    ) -> None:
-        _set_lo(self, lo)
-        _set_hi(self, hi)
-        _set_contains(self, contains_2g_minus_2)
-        _set_large(self, is_large_chamber)
 
-
-_set_lo, _set_hi, _set_contains, _set_large = _slotted(Chamber)
-
-
-@dataclass(frozen=True)
+@record
 class ChamberReport:
     """Chamber decomposition of the admissible range.
 
@@ -193,7 +129,7 @@ class ChamberReport:
     flips_to_large: Optional[int]
 
 
-@dataclass(frozen=True)
+@record
 class FlipDims:
     """Dimension data of the flip locus attached to one split T' + T'' = T.
 

@@ -23,15 +23,16 @@ triple and the placement of 2g - 2 against its range) is the
 Fraction comparisons and a ``MinimaRealization`` built on the way,
 rather than integer gap numerators and cross-multiplication; so are the
 thresholds alpha_j and alpha_t, the slope gap scaled and subtracted in
-Fractions rather than one Fraction each from the gap numerator. The
-per-wall records ``WallWitness``, ``Wall`` and ``Chamber`` have twins
-here that are plain frozen dataclasses, as the library first defined
-them, rather than slotted records whose ``__init__`` writes through the
-slot descriptors.
+Fractions rather than one Fraction each from the gap numerator. Every
+result record has a twin here that is a plain frozen dataclass,
+generated by ``make_dataclass`` from the record's fields, as the
+library first defined them, rather than a slotted record whose
+``__init__`` writes through the slot descriptors.
 """
 
+import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, field, fields, is_dataclass, make_dataclass
 from fractions import Fraction as F
 
 from triplemoduli.census import enumerate_region
@@ -63,56 +64,36 @@ from triplemoduli.higgs import (
     rigidity,
     vanishing_pattern,
 )
-from triplemoduli.rationals import Rational, jsonable
+from triplemoduli.rationals import jsonable
 from triplemoduli.triples import AlphaInterval, TripleType
 from triplemoduli.walls import chambers, enumerate_walls
 
 
-@dataclass(frozen=True)
-class WallWitness:
-    """Numerically admissible subobject data (n1', n2', d1'+d2')."""
-
-    n1p: int
-    n2p: int
-    dsum: int
-
-
-@dataclass(frozen=True)
-class Wall:
-    """A critical parameter value with its arithmetic witnesses."""
-
-    alpha: Rational
-    witnesses: tuple[WallWitness, ...]
-    stabilized: bool = False
-
-
-@dataclass(frozen=True)
-class Chamber:
-    """Maximal open parameter interval containing no wall."""
-
-    lo: Rational
-    hi: Rational
-    contains_2g_minus_2: bool
-    is_large_chamber: bool
-
-
-_TWINS = {
-    cls.__name__: (cls, [f.name for f in fields(cls)])
-    for cls in (WallWitness, Wall, Chamber)
-}
+@functools.cache
+def _twin_class(cls):
+    """The plain frozen dataclass with cls's name and fields, defaults
+    included."""
+    spec = [
+        (f.name, f.type)
+        if f.default is MISSING
+        else (f.name, f.type, field(default=f.default))
+        for f in fields(cls)
+    ]
+    return make_dataclass(cls.__name__, spec, frozen=True)
 
 
 def oracle_twin(value):
-    """A library WallWitness, Wall or Chamber (or a tuple of them) rebuilt
-    as its plain frozen-dataclass twin above, field by field in the twin's
+    """A library record (or a tuple or dict of them, nested at any depth)
+    rebuilt as its plain frozen-dataclass twin, field by field in field
     order; any other value is returned as it is."""
     if isinstance(value, tuple):
         return tuple(map(oracle_twin, value))
-    twin = _TWINS.get(type(value).__name__)
-    if twin is None:
+    if isinstance(value, dict):
+        return {k: oracle_twin(v) for k, v in value.items()}
+    if not is_dataclass(value):
         return value
-    cls, names = twin
-    return cls(*[oracle_twin(getattr(value, name)) for name in names])
+    twin = _twin_class(type(value))
+    return twin(*[oracle_twin(getattr(value, f.name)) for f in fields(value)])
 
 
 def oracle_walls(T, lo, hi):

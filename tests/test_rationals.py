@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from triplemoduli.errors import DomainError
 from triplemoduli.rationals import jsonable, parse_rat, rat_str
 
 
@@ -18,6 +19,21 @@ def test_rat_str_integers_have_no_slash():
 def test_rat_str_proper_fractions():
     assert rat_str(Fraction(5, 2)) == "5/2"
     assert rat_str(Fraction(-1, 3)) == "-1/3"
+
+
+def test_rat_str_takes_ints():
+    assert rat_str(5) == "5"
+    assert rat_str(-12) == "-12"
+
+
+@pytest.mark.parametrize(
+    "bad, kind", [(0.1, "float"), ("1/3", "str"), (True, "bool")]
+)
+def test_rat_str_refuses_non_rationals(bad, kind):
+    # Fraction() would take 0.1 as 3602879701896397/36028797018963968
+    # and pass "1/3" through unparsed
+    with pytest.raises(DomainError, match="not %s$" % kind):
+        rat_str(bad)
 
 
 def test_parse_rat_accepts_wire_forms():

@@ -1,0 +1,287 @@
+"""The record contract: every dataclass that the six math modules define
+is a slotted frozen record, made by ``errors.record``, that behaves as
+the plain frozen dataclass it was. Each record is checked against its
+plain twin, which tests/oracles.py generates from the record's fields;
+a class added to a math module without ``@record`` fails here."""
+
+import copy
+import dataclasses
+import inspect
+import itertools
+import pickle
+import re
+import weakref
+from fractions import Fraction as F
+from importlib import import_module
+
+import pytest
+
+from triplemoduli.census import (
+    coprime_partition,
+    enumerate_region,
+    tau_quotient_facts,
+)
+from triplemoduli.classify import classify
+from triplemoduli.errors import DomainError
+from triplemoduli.higgs import (
+    HiggsType,
+    minima_triple_type,
+    mw_relations,
+    rigidity,
+    toledo,
+)
+from triplemoduli.morse import HodgeChain
+from triplemoduli.triples import (
+    TripleType,
+    alpha_range,
+    fibration_dims,
+    thresholds,
+    witness_check,
+)
+from triplemoduli.walls import (
+    Wall,
+    chambers,
+    enumerate_walls,
+    flip_dims,
+    integer_genericity,
+    is_critical,
+)
+
+from oracles import oracle_twin
+
+MATH = ("census", "classify", "higgs", "morse", "triples", "walls")
+RECORDS = [
+    cls
+    for module in map(import_module, ("triplemoduli." + m for m in MATH))
+    for cls in vars(module).values()
+    if isinstance(cls, type)
+    and dataclasses.is_dataclass(cls)
+    and cls.__module__ == module.__name__
+]
+
+T, U = TripleType(2, 1, 4, 1), TripleType(3, 3, 5, -4)
+# H is interior and coprime; R is saturated and rigid, so its rigidity
+# report nests a HiggsType factor
+H, R = HiggsType(2, 3, 1, 1, 2), HiggsType(1, 2, 2, 1, 2)
+
+# two different instances of every record, built by the library
+SAMPLES = {
+    "TripleType": (T, U),
+    "WitnessOutcome": witness_check(T, [TripleType(0, 1, 0, 0), T], 1).items,
+    "WitnessReport": (
+        witness_check(T, [TripleType(0, 1, 0, 0)], 1),
+        witness_check(U, [], F(1, 2), strict=False),
+    ),
+    "AlphaInterval": (alpha_range(T), alpha_range(U)),
+    "Thresholds": (thresholds(T), thresholds(U)),
+    "BaseFactor": fibration_dims(U, 2).base_factors,
+    "FibrationDims": (fibration_dims(T, 2), fibration_dims(U, 2)),
+    "WallWitness": is_critical(T, F(5, 2)).witnesses,
+    "Wall": (enumerate_walls(T)[0], enumerate_walls(U, g=2)[-1]),
+    "WallTest": (is_critical(T, F(5, 2)), is_critical(T, 3)),
+    "GenericityFacts": (integer_genericity(T, 1), integer_genericity(U, 0)),
+    "Chamber": chambers(U, 2).chambers[:2],
+    "ChamberReport": (chambers(T, 2), chambers(U, 2)),
+    "FlipDims": (
+        flip_dims(T, TripleType(2, 0, 5, 0), 2),
+        flip_dims(U, TripleType(1, 0, 2, 0), 2),
+    ),
+    "HiggsType": (H, R),
+    "ToledoReport": (toledo(H), toledo(R)),
+    "MinimaRealization": (
+        minima_triple_type(H),
+        minima_triple_type(HiggsType(1, 1, 0, 0, 2)),
+    ),
+    "MWReport": (mw_relations(H), mw_relations(HiggsType(2, 2, 1, 0, 2))),
+    "RigidityReport": (rigidity(H), rigidity(R)),
+    "SubspaceVerdict": (classify(H).r_gamma, classify(R).r_pu),
+    "Verdict": (classify(H), classify(R)),
+    "ClassPair": enumerate_region(2, 1, 2).points[:2],
+    "CensusReport": (enumerate_region(1, 1, 2), enumerate_region(2, 1, 2)),
+    "TauQuotientFacts": (tau_quotient_facts(2, 1), tau_quotient_facts(4, 6)),
+    "CoprimePartition": (coprime_partition(1, 1, 2), coprime_partition(2, 1, 2)),
+    "HodgeChain": (HodgeChain((1, 1), (1, 0)), HodgeChain((1, 2, 1), (3, 1, -2))),
+}
+
+
+def names(cls):
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def values(rec):
+    return tuple(getattr(rec, f.name) for f in dataclasses.fields(rec))
+
+
+def test_every_record_has_samples():
+    assert sorted(cls.__name__ for cls in RECORDS) == sorted(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[c.__name__ for c in RECORDS])
+class TestRecordContract:
+    @pytest.fixture
+    def pair(self, cls):
+        a, b = SAMPLES[cls.__name__]
+        assert type(a) is cls and type(b) is cls and a != b
+        return a, b
+
+    def test_slotted_with_no_instance_dict_or_weak_references(
+        self, cls, pair
+    ):
+        assert cls.__slots__ == names(cls)
+        # its own docstring: dataclasses would write "Name()" for a
+        # record with none, as it signs the class before record adds
+        # the __init__
+        assert not cls.__doc__.startswith(cls.__name__ + "(")
+        for rec in pair:
+            assert not hasattr(rec, "__dict__")
+            with pytest.raises(TypeError):
+                weakref.ref(rec)
+
+    def test_positional_and_keyword_construction(self, cls, pair):
+        for rec in pair:
+            vals = values(rec)
+            assert cls(*vals) == rec
+            assert cls(**dict(zip(names(cls), vals))) == rec
+            with pytest.raises(TypeError):
+                cls(*vals, None)
+            with pytest.raises(TypeError):
+                cls(*vals[:-1], **{names(cls)[-1]: vals[-1], "extra": 1})
+
+    def test_signature_matches_the_plain_twin(self, cls, pair):
+        params = inspect.signature(cls).parameters.values()
+        twin = type(oracle_twin(pair[0]))
+        twin_params = inspect.signature(twin).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            (p.name, p.kind, p.default) for p in twin_params
+        ]
+        assert tuple(p.name for p in params) == names(cls)
+
+    def test_fields_eq_hash_and_repr(self, cls, pair):
+        # fields in declaration order
+        assert names(cls) == tuple(cls.__annotations__)
+        a, b = pair
+        ta, tb = oracle_twin(a), oracle_twin(b)
+        assert a == cls(*values(a)) and not a != cls(*values(a))
+        assert a != b and not a == b
+        assert a != values(a) and a != ta
+        assert repr(a) == repr(ta) and repr(b) == repr(tb)
+        try:
+            expected = hash(ta)
+        except TypeError as exc:
+            # Verdict and CensusReport hold a dict
+            with pytest.raises(TypeError, match=re.escape(str(exc))):
+                hash(a)
+        else:
+            assert hash(a) == expected == hash(values(a))
+
+    def test_frozen_on_set_and_delete(self, cls, pair):
+        a, b = pair
+        before = values(a)
+        for name in names(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, getattr(b, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(a, name)
+        # not a field, and no __dict__ to hold it: refused as in the
+        # plain frozen dataclass, not with a TypeError from super()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del a.extra
+        assert values(a) == before
+
+    def test_replace_pickle_and_copy(self, cls, pair):
+        a, b = pair
+        assert dataclasses.replace(a) == a
+        moved = dataclasses.replace(a, **dict(zip(names(cls), values(b))))
+        assert type(moved) is cls and moved == b
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(a, protocol))
+            assert type(back) is cls and back == a and repr(back) == repr(a)
+        for dup in (copy.copy(a), copy.deepcopy(a)):
+            assert type(dup) is cls and dup == a and repr(dup) == repr(a)
+
+
+def test_wall_stabilized_defaults_to_false():
+    assert Wall(F(3), ()).stabilized is False
+    assert Wall(F(3), ()) == Wall(alpha=F(3), witnesses=(), stabilized=False)
+
+
+class TestValidatedRecords:
+    """TripleType, HiggsType and HodgeChain check their fields in
+    __post_init__, which the record __init__ and so also
+    dataclasses.replace still call."""
+
+    @pytest.mark.parametrize(
+        "rec, bad",
+        [
+            (T, {"n1": -1}),
+            (T, {"n1": 0, "n2": 0}),
+            (T, {"d1": 1.5}),
+            (T, {"d2": True}),
+            (H, {"p": 0}),
+            (H, {"g": 1}),
+            (H, {"a": F(1, 2)}),
+            (HodgeChain((1, 1), (1, 0)), {"degrees": (1,)}),
+            (HodgeChain((1, 1), (1, 0)), {"ranks": (), "degrees": ()}),
+            (HodgeChain((1, 1), (1, 0)), {"ranks": (1, 0)}),
+        ],
+    )
+    def test_bad_fields_raise_domain_error(self, rec, bad):
+        cls = type(rec)
+        with pytest.raises(DomainError):
+            dataclasses.replace(rec, **bad)
+        with pytest.raises(DomainError):
+            cls(**dict(zip(names(cls), values(rec)), **bad))
+
+    def test_hodge_chain_stores_tuples(self):
+        C = HodgeChain([1, 2], iter([3, -1]))
+        assert C.ranks == (1, 2) and C.degrees == (3, -1)
+        assert type(C.ranks) is tuple and type(C.degrees) is tuple
+        C = dataclasses.replace(C, ranks=[2, 2])
+        assert type(C.ranks) is tuple and C == HodgeChain((2, 2), (3, -1))
+
+
+def assert_matches_twin(out, last):
+    """``out`` has the repr and astuple of its plain twin, and compares
+    equal to the previous output exactly when the twins do."""
+    twin = oracle_twin(out)
+    assert repr(out) == repr(twin)
+    assert dataclasses.astuple(out) == dataclasses.astuple(twin)
+    if last is not None:
+        assert (out == last[0]) == (twin == last[1])
+    return out, twin
+
+
+class TestLibraryOutputsAgainstPlainTwins:
+    def test_classify_mw_relations_and_rigidity_on_the_census(self):
+        """Every class of enumerate_region(p, q, g) for p, q <= 6 and
+        g <= 4."""
+        last = dict.fromkeys((classify, mw_relations, rigidity))
+        equal = dict.fromkeys(last, 0)
+        classes = 0
+        for p, q, g in itertools.product(range(1, 7), range(1, 7), range(2, 5)):
+            for cp in enumerate_region(p, q, g).points:
+                H = HiggsType(p, q, cp.a, cp.b, g)
+                for fn in last:
+                    out = fn(H)
+                    equal[fn] += last[fn] is not None and out == last[fn][0]
+                    last[fn] = assert_matches_twin(out, last[fn])
+                classes += 1
+        assert classes == 9087
+        # the equality check is not vacuous for rigidity (runs of
+        # inapplicable reports compare equal)
+        assert equal[rigidity] > 0
+
+    def test_thresholds_on_ranks_up_to_6(self):
+        last = None
+        outputs = 0
+        for n1, n2, d1, d2 in itertools.product(
+            range(1, 7), range(1, 7), range(-9, 10), range(-9, 10)
+        ):
+            T = TripleType(n1, n2, d1, d2)
+            if alpha_range(T).empty:
+                continue
+            last = assert_matches_twin(thresholds(T), last)
+            outputs += 1
+        assert outputs == 6638

@@ -1,12 +1,9 @@
 """Wall sets against a brute-force oracle, chambers, and flip data."""
 
-import copy
 import dataclasses
 import itertools
 import math
-import pickle
 import random
-import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -561,106 +558,6 @@ class TestFlipDims:
         T = TripleType(2, 1, 4, 1)
         fd = flip_dims(T, TripleType(2, 0, 5, 0), 2)
         assert fd.fiber_nonempty == (fd.fiber_dim >= 0)
-
-
-# one record of each slotted class: its field values, field names, repr
-# and another value for its last field
-RECORDS = [
-    (
-        WallWitness,
-        (0, 1, -2),
-        ("n1p", "n2p", "dsum"),
-        "WallWitness(n1p=0, n2p=1, dsum=-2)",
-        3,
-    ),
-    (
-        Wall,
-        (F(5, 2), (WallWitness(0, 1, 0), WallWitness(2, 0, 5)), True),
-        ("alpha", "witnesses", "stabilized"),
-        "Wall(alpha=Fraction(5, 2), witnesses=(WallWitness(n1p=0, n2p=1, "
-        "dsum=0), WallWitness(n1p=2, n2p=0, dsum=5)), stabilized=True)",
-        False,
-    ),
-    (
-        Chamber,
-        (F(1), F(5, 2), True, False),
-        ("lo", "hi", "contains_2g_minus_2", "is_large_chamber"),
-        "Chamber(lo=Fraction(1, 1), hi=Fraction(5, 2), "
-        "contains_2g_minus_2=True, is_large_chamber=False)",
-        True,
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "cls, values, names, text, other",
-    RECORDS,
-    ids=[r[0].__name__ for r in RECORDS],
-)
-class TestSlottedRecordContract:
-    """WallWitness, Wall and Chamber are slotted, with an __init__ of
-    their own, yet behave as the plain frozen dataclasses they were."""
-
-    def test_positional_and_keyword_construction(
-        self, cls, values, names, text, other
-    ):
-        rec = cls(*values)
-        assert rec == cls(**dict(zip(names, values)))
-        assert tuple(getattr(rec, name) for name in names) == values
-        with pytest.raises(TypeError):
-            cls(*values, None)
-        with pytest.raises(TypeError):
-            cls(*values[:-1], **{names[-1]: values[-1], "extra": 1})
-
-    def test_fields_eq_hash_and_repr(self, cls, values, names, text, other):
-        rec = cls(*values)
-        assert tuple(f.name for f in dataclasses.fields(cls)) == names
-        assert rec == cls(*values)
-        assert rec != cls(*values[:-1], other)
-        assert rec != values
-        assert hash(rec) == hash(values)
-        assert repr(rec) == text
-
-    def test_frozen_on_set_and_delete(self, cls, values, names, text, other):
-        rec = cls(*values)
-        for name in names:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(rec, name, other)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(rec, name)
-        # not a field, and no __dict__ to hold it: refused as in the
-        # plain frozen dataclass, not with a TypeError from super()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            rec.extra = 1
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del rec.extra
-        assert tuple(getattr(rec, name) for name in names) == values
-
-    def test_replace_pickle_and_copy(self, cls, values, names, text, other):
-        rec = cls(*values)
-        changed = dataclasses.replace(rec, **{names[-1]: other})
-        assert type(changed) is cls
-        assert changed == cls(*values[:-1], other)
-        assert rec == cls(*values)
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            back = pickle.loads(pickle.dumps(rec, protocol))
-            assert type(back) is cls and back == rec
-        for dup in (copy.copy(rec), copy.deepcopy(rec)):
-            assert type(dup) is cls and dup == rec and repr(dup) == text
-
-    def test_no_instance_dict_and_no_weak_references(
-        self, cls, values, names, text, other
-    ):
-        rec = cls(*values)
-        assert cls.__slots__ == names
-        assert not hasattr(rec, "__dict__")
-        with pytest.raises(TypeError):
-            weakref.ref(rec)
-
-
-def test_wall_stabilized_defaults_to_false():
-    assert Wall(F(3), ()).stabilized is False
-    assert Wall(F(3), ()) == Wall(alpha=F(3), witnesses=(), stabilized=False)
 
 
 class TestRecordsAgainstPlainTwins:
