@@ -8,7 +8,9 @@ as "num/den" strings, infinite endpoints as "inf", absent values as
 null), the default mode prints the same structure as indented text.
 One writer per mode (``write_json``, ``write_text``) streams the report
 in a single pass; the JSON writer emits exactly the bytes of
-``json.dumps(jsonable(report), indent=2, sort_keys=True)``.
+``json.dumps(jsonable(report), indent=2, sort_keys=True)``. The writers
+take report trees only: every dict key is a str, and a block (below) is
+reached through dict entries, never through a list item.
 
 Imports are deferred: each subcommand's handler imports the math
 modules it calls when it runs, and a usage error imports none. Most of
@@ -21,7 +23,8 @@ scan, so a large request builds no ``Wall``, ``WallWitness`` or
 ``Fraction`` per wall. ``chambers`` builds its chamber dicts itself.
 
 Exit codes: 0 success, 1 domain error (the message names the violated
-precondition), 2 usage error (unknown flags, malformed values). A
+precondition), 2 usage error (unknown flags, malformed values: integers
+are N and rationals N or N/D, in ASCII digits). A
 reader that closes the pipe early (``| head``) also ends the run with
 exit 1, quietly: nothing is printed to stderr.
 """
@@ -55,13 +58,23 @@ def _rational(text: str) -> Fraction:
 _NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+# parse_rat's numerator: ASCII digits after an optional "-". int() would
+# also take "1_0", "+3" and non-ASCII digits.
+_WIRE_INT = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    s = text.strip()
+    if not _WIRE_INT.fullmatch(s):
         raise argparse.ArgumentTypeError(
-            "expected a comma-separated integer list, got %r" % text
+            "expected an integer written as N in ASCII digits, got %r" % text
         )
+    return int(s)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, each written as ``_integer`` takes it."""
+    return tuple(map(_integer, text.split(",")))
 
 
 # The report keys that differ from their dataclass field names.
@@ -147,7 +160,7 @@ def _cmd_walls(args) -> tuple[dict, dict, list]:
         include_endpoints=args.include_endpoints,
         g=args.g,
     )
-    walls = _Block(rows, _json_walls, _text_walls, _wall_dicts)
+    walls = _Block(rows, _json_walls, _text_walls)
     outputs: dict = {"count": len(walls), "walls": walls}
     if args.alpha is not None:
         test = is_critical(T, args.alpha)
@@ -299,18 +312,18 @@ def _cmd_classify(args) -> tuple[dict, dict, list]:
 
 
 def _add_triple_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n1", type=int, required=True, help="rank of E1")
-    sub.add_argument("--n2", type=int, required=True, help="rank of E2")
-    sub.add_argument("--d1", type=int, required=True, help="degree of E1")
-    sub.add_argument("--d2", type=int, required=True, help="degree of E2")
+    sub.add_argument("--n1", type=_integer, required=True, help="rank of E1")
+    sub.add_argument("--n2", type=_integer, required=True, help="rank of E2")
+    sub.add_argument("--d1", type=_integer, required=True, help="degree of E1")
+    sub.add_argument("--d2", type=_integer, required=True, help="degree of E2")
 
 
 def _add_higgs_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, required=True, help="rank of V")
-    sub.add_argument("--q", type=int, required=True, help="rank of W")
-    sub.add_argument("--a", type=int, required=True, help="degree of V")
-    sub.add_argument("--b", type=int, required=True, help="degree of W")
-    sub.add_argument("--g", type=int, required=True, help="genus, >= 2")
+    sub.add_argument("--p", type=_integer, required=True, help="rank of V")
+    sub.add_argument("--q", type=_integer, required=True, help="rank of W")
+    sub.add_argument("--a", type=_integer, required=True, help="degree of V")
+    sub.add_argument("--b", type=_integer, required=True, help="degree of W")
+    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="slopes, admissible range, thresholds, dimension",
     )
     _add_triple_flags(sub)
-    sub.add_argument("--g", type=int, help="genus for dimension outputs")
+    sub.add_argument("--g", type=_integer, help="genus for dimension outputs")
     sub.add_argument(
         "--alpha", type=_rational, help="evaluate the alpha-slope here"
     )
@@ -351,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep walls sitting exactly at alpha_m or alpha_M",
     )
     sub.add_argument(
-        "--g", type=int, help="genus, sets the horizon when n1 = n2"
+        "--g", type=_integer, help="genus, sets the horizon when n1 = n2"
     )
     sub.add_argument(
         "--alpha", type=_rational, help="also test this value for criticality"
@@ -362,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chambers", help="chamber decomposition of the parameter range"
     )
     _add_triple_flags(sub)
-    sub.add_argument("--g", type=int, required=True, help="genus, >= 2")
+    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
     sub.add_argument(
         "--cutoff",
         type=_rational,
@@ -397,20 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="chain degrees, comma separated, e.g. 2,1,0",
     )
-    sub.add_argument("--g", type=int, required=True, help="genus, >= 2")
+    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
     sub.set_defaults(handler=_cmd_morse)
 
     sub = subs.add_parser(
         "census", help="component classes of the flat-bundle variety"
     )
-    sub.add_argument("--p", type=int, required=True, help="rank of V")
-    sub.add_argument("--q", type=int, required=True, help="rank of W")
-    sub.add_argument("--g", type=int, required=True, help="genus, >= 2")
+    sub.add_argument("--p", type=_integer, required=True, help="rank of V")
+    sub.add_argument("--q", type=_integer, required=True, help="rank of W")
+    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
     sub.add_argument(
-        "--a", type=int, help="with --b: canonicalize this degree pair"
+        "--a", type=_integer, help="with --b: canonicalize this degree pair"
     )
     sub.add_argument(
-        "--b", type=int, help="with --a: canonicalize this degree pair"
+        "--b", type=_integer, help="with --a: canonicalize this degree pair"
     )
     sub.set_defaults(handler=_cmd_census)
 
@@ -429,12 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Report writers. Both read the report straight from library values
-# (Fraction, int, bool, None, str, tuples, lists, dicts) and blocks, and
-# stream it through ``write``, ending in a newline. A block is a list
-# that grows with a request, marked by its handler; the writers format
-# it a batch at a time with the renderers it carries, one template per
-# kind of block, and do not look at its items.
+# Report writers. Both take a report tree and stream it through
+# ``write``, ending in a newline. A report tree holds library values
+# (Fraction, int, bool, None, str, tuples, lists, dicts) and blocks, with
+# every dict key a str, and reaches each block from the root through
+# dict entries only, never through a list or tuple item; every handler
+# builds such trees, and the writers do not check them. A block is a
+# list that grows with a request, marked by its handler; the writers
+# format it a batch at a time with the renderers it carries, one
+# template per kind of block, and do not look at its items.
 
 _BATCH = 2048
 
@@ -442,12 +458,13 @@ _BATCH = 2048
 class _Block(list):
     """Compact items of a list that grows with a request. ``json(pad)``
     and ``text(pad)`` give renderers that format a batch of items as list
-    items at ``pad``; ``dicts(items)`` gives the items' report form, for
-    a block written inline."""
+    items at ``pad``. A report tree reaches a block through dict entries
+    only, so the writers write a block inline only when it is empty, as
+    ``[]``."""
 
-    def __init__(self, items, json, text, dicts=list):
+    def __init__(self, items, json, text):
         super().__init__(items)
-        self.json, self.text, self.dicts = json, text, dicts
+        self.json, self.text = json, text
 
 
 def _rows(items, r: int) -> _Block:
@@ -455,35 +472,6 @@ def _rows(items, r: int) -> _Block:
     return _Block(
         items, lambda pad: _json_rows(r, pad), lambda pad: _text_rows(r, pad)
     )
-
-
-def _wall_dicts(walls) -> list:
-    """Report form of walls block items: (num, den, rows, stabilized)."""
-    return [
-        {
-            "alpha": num if den == 1 else "%d/%d" % (num, den),
-            "witnesses": rows,
-            "stabilized": stabilized,
-        }
-        for num, den, rows, stabilized in walls
-    ]
-
-
-def _str_keys(d: dict) -> dict:
-    """``d`` with every key passed through ``str``, as ``jsonable`` does:
-    on a collision the first key's place and the last key's value win."""
-    return {str(k): v for k, v in d.items()}
-
-
-def _plain(value):
-    """``jsonable(value)``, with a block read as its report form."""
-    if isinstance(value, _Block):
-        value = value.dicts(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return jsonable(value)
 
 
 def _write_batched(write, seq, render, sep: str) -> None:
@@ -545,7 +533,6 @@ def _json_walls(pad: str):
 
 def _write_json(value, write, pad: str) -> None:
     if isinstance(value, dict):
-        value = _str_keys(value)
         if not value:
             write("{}")
             return
@@ -574,8 +561,8 @@ def _write_json(value, write, pad: str) -> None:
 
 
 def write_json(value, write) -> None:
-    """Stream ``value`` as ``json.dumps(jsonable(value), indent=2,
-    sort_keys=True)`` plus a newline, through ``write``."""
+    """Stream the report tree ``value`` as ``json.dumps(jsonable(value),
+    indent=2, sort_keys=True)`` plus a newline, through ``write``."""
     _write_json(value, write, "")
     write("\n")
 
@@ -587,15 +574,13 @@ def _text_scalar(value) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, _Block):
-        value = value.dicts(value)
     if isinstance(value, (list, tuple)):
         return "[%s]" % ", ".join(map(_text_scalar, value))
     if isinstance(value, (int, Fraction, str)):
         return str(value)
     if isinstance(value, dict):
         # a dict on one line prints as the Python literal of its JSON form
-        return str(_plain(value))
+        return str(jsonable(value))
     raise TypeError("cannot serialize %r" % (type(value),))
 
 
@@ -634,7 +619,6 @@ def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
     item gets ``lead`` ("<pad>- ") in front of its first line, whose own
     leading whitespace is dropped."""
     if isinstance(value, dict):
-        value = _str_keys(value)
         if not value:
             write((pad if lead is None else lead) + "(none)\n")
         for key, item in value.items():
@@ -665,11 +649,11 @@ def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
 
 
 def write_text(value, write) -> None:
-    """Stream ``value`` as indented text lines through ``write``: dict
-    entries as "key: value" and list items as "- item". A non-empty dict,
-    or a list holding containers, goes one level deeper under its key;
-    anything else is inline, written as in JSON but with strings
-    unquoted. A dict or list not written inline that is empty is
+    """Stream the report tree ``value`` as indented text lines through
+    ``write``: dict entries as "key: value" and list items as "- item". A
+    non-empty dict, or a list holding containers, goes one level deeper
+    under its key; anything else is inline, written as in JSON but with
+    strings unquoted. A dict or list not written inline that is empty is
     "(none)"."""
     _write_text(value, write, "")
 

@@ -11,8 +11,9 @@ turns a dataclass into its report dict with ``cli._wire``, which writes
 it as "inf" in the fields that hold an unbounded endpoint:
 ``AlphaInterval.hi``, ``Thresholds.alpha_M`` and ``MWReport.alpha_M``,
 each None exactly when its ranks are equal. The CLI's report writers
-(``cli.write_json``, ``cli.write_text``) follow ``jsonable`` without
-calling it: they print each value in the form it maps to here.
+(``cli.write_json``, ``cli.write_text``) print each value in the form it
+maps to here; they call ``jsonable`` only for a dict that the text
+writer puts on one line.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from triplemoduli.cli import _Block, build_parser, main
+from triplemoduli.cli import _Block, _integer, build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
 
@@ -75,6 +75,23 @@ class TestExitCodes:
             "--d2", "1", "--alpha", "2.5",
         )
         assert code == 2
+
+    # int() takes all but the last; the wire format is ASCII -?[0-9]+,
+    # the numerator of a rational
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "+3", "3.0"])
+    def test_malformed_integer_is_exit_two(self, capsys, value):
+        code, out, err = run(
+            capsys, "triple", "--n1", value, "--n2", "1", "--d1", "4",
+            "--d2", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "argument --n1: expected an integer" in err
+        code, out, err = run(
+            capsys, "morse", "--ranks", "1," + value, "--degrees", "1,0",
+            "--g", "2",
+        )
+        assert (code, out) == (2, "")
+        assert "argument --ranks: expected an integer" in err
 
     def test_unknown_command_is_exit_two(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
@@ -477,9 +494,27 @@ def _unmarked_row_lists(value):
             yield from _unmarked_row_lists(item)
 
 
+def _off_contract(value, in_list=False):
+    """The dict keys that are not str, and the blocks reached through a
+    list or tuple item, in ``value``: what the writers' report tree
+    contract rules out."""
+    if isinstance(value, _Block) and in_list:
+        yield value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                yield key
+            yield from _off_contract(item, in_list)
+    elif isinstance(value, (list, tuple)) and not isinstance(value, _Block):
+        for item in value:
+            yield from _off_contract(item, True)
+
+
 def test_every_list_of_int_rows_in_a_golden_report_is_a_block():
     # the handlers mark their bulk lists by hand; a list of int rows that
-    # is not a block would be written item by item
+    # is not a block would be written item by item. The writers take
+    # report trees only, so every handler's outputs and citations must
+    # be one: str keys, and no block inside a list or tuple.
     with open(GOLDEN, encoding="utf-8") as fh:
         records = json.load(fh)
     blocks = 0
@@ -487,8 +522,10 @@ def test_every_list_of_int_rows_in_a_golden_report_is_a_block():
         if rec["exit"] != 0:
             continue
         args = build_parser().parse_args(rec["argv"])
-        outputs, _, _ = args.handler(args)
+        outputs, citations, _ = args.handler(args)
         assert list(_unmarked_row_lists(outputs)) == [], rec["argv"]
+        off = [*_off_contract(outputs), *_off_contract(citations)]
+        assert off == [], rec["argv"]
         blocks += sum(isinstance(v, _Block) for v in outputs.values())
     # the walls and census goldens mark 12 top-level lists
     assert blocks >= 12
@@ -516,7 +553,7 @@ _rational = st.one_of(
 
 
 def _value(action):
-    if action.type is int:
+    if action.type is _integer:
         return _small
     return _list if action.dest in ("ranks", "degrees") else _rational
 

@@ -56,6 +56,9 @@ ARGVS = [
     ["classify", *_flags(_H, (1, 1, 1, 1, 2))],
     ["classify", *_flags(_H, (3, 3, 4, -1, 2))],
     ["classify", *_flags(_H, (2, 2, 1, -1, 2))],
+    # empty blocks: an empty admissible range, and no witnesses
+    ["walls", *_flags(_T, (2, 1, 0, 1))],
+    ["walls", *_flags(_T, (3, 2, 7, -2)), "--alpha", "1/7"],
 ]
 CASES = [argv + mode for argv in ARGVS for mode in (["--json"], [])]
 
