@@ -53,9 +53,9 @@ def _rational(text: str) -> Fraction:
 
 
 # argparse reads a token that starts with "-" as a flag unless it matches
-# this (private) pattern; argparse's own is r"^-\d+$|^-\d*\.\d+$". The
-# "/D" part lets a negative rational such as -1/2 be a separate value.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# this (private) pattern; argparse's own is r"^-\d+$|^-\d*\.\d+$". This
+# one also takes a negative rational (-1/2) and an integer list (-1,0).
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$|^-\d+(,-?\d+)+$")
 
 
 # parse_rat's numerator: ASCII digits after an optional "-". int() would

@@ -20,11 +20,11 @@ Every wall of a type lies on the lattice (1/L)Z, where L is the lcm of
 |n1' n2 - n1 n2'| over the admissible rank pairs, so the scan keys each
 candidate by its integer numerator k = alpha L and builds one Fraction per
 wall; is_critical tests alpha = p/q by the divisibility of
-p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2). The scan
-plan (_wall_plan) is shared: enumerate_walls groups it into Wall and
-WallWitness objects, and the CLI writes walls straight from the same
-integer scan (_wall_rows), as int rows with alpha in lowest terms,
-building no Fraction or dataclass per wall.
+p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2). One plan
+(_wall_plan) resolves the window and one scan (_grouped) groups its
+candidates by key: enumerate_walls and chambers build Wall records from
+it, and _wall_rows the int rows the CLI writes, alpha in lowest terms,
+with no Fraction or dataclass per wall.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ import bisect
 import math
 from collections import defaultdict
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from typing import Optional
 
 from .errors import DomainError, record, require_int, require_rational
@@ -186,33 +188,30 @@ def wall_alpha(T: TripleType, n1p: int, n2p: int, dsum: int) -> Rational:
     )
 
 
-def _default_top(alpha_L: Rational, g: int, alpha_m: Rational) -> Rational:
-    """Default horizon max(alpha_L, 2g-2, alpha_m) + 1 for n1 = n2."""
-    return max(alpha_L, Fraction(2 * g - 2), alpha_m) + 1
-
-
 def _wall_plan(
     T: TripleType,
     interval: Optional[tuple[Rational, Rational]],
     include_endpoints: bool,
     g: Optional[int],
-) -> tuple[int, Optional[int], list, list]:
-    """The integer scan behind enumerate_walls, before any grouping.
+) -> tuple[Fraction, Optional[Fraction], Optional[Fraction], int, list, list]:
+    """The one place that resolves and validates a wall scan's window, as
+    enumerate_walls documents (a given g is checked even when unused).
 
-    Validates the window exactly as enumerate_walls documents and returns
-    (L, kL, drop, plan): the lattice denominator L, the key floor(alpha_L
-    L) above which walls are stabilized (None for n1 != n2), the keys of
+    Returns (lo, hi, alpha_L, L, drop, plan): the closed window [lo, hi],
+    alpha_L (None for n1 != n2), the lattice denominator L, the keys of
     the range endpoints to drop (none with ``include_endpoints``), and one
     (n1', n2', d'-range, key-range) entry per admissible rank pair, in
     (n1', n2') order, where the i-th d' meets the wall alpha = k/L with k
     the i-th key. An empty default range gives an empty plan.
     """
     require_ranks(T, "enumerate_walls")
+    if g is not None:
+        require_int("genus", g, 2)
     rng = alpha_range(T)
     aL = _alpha_L_equal_ranks(T.n1, rng.lo) if T.n1 == T.n2 else None
     if interval is None:
         if rng.empty:
-            return 1, None, [], []
+            return rng.lo, rng.hi, aL, 1, [], []
         lo = rng.lo
         if aL is not None:
             if g is None:
@@ -220,8 +219,7 @@ def _wall_plan(
                     "the wall set for n1 = n2 is unbounded; pass an explicit "
                     "interval or g for the default horizon max(alpha_L, 2g-2, alpha_m)+1"
                 )
-            require_int("genus", g, 2)
-            hi = _default_top(aL, g, lo)
+            hi = max(aL, Fraction(2 * g - 2), lo) + 1
         else:
             assert rng.hi is not None
             hi = rng.hi
@@ -258,8 +256,29 @@ def _wall_plan(
         drop.append(rng.lo * L)
         if rng.hi is not None:
             drop.append(rng.hi * L)
-    kL = math.floor(aL * L) if aL is not None else None
-    return L, kL, drop, plan
+    return lo, hi, aL, L, drop, plan
+
+
+def _grouped(aL, L, drop, plan, witnesses):
+    """The walls of a _wall_plan by key k = alpha L, ascending: an
+    iterator of (k, witnesses, stabilized), without the keys in ``drop``.
+
+    ``witnesses`` builds one rank pair's witnesses from the iterables
+    n1', n2', d': ``zip`` gives int rows, ``partial(map, WallWitness)``
+    records. They come out in (n1', n2', d') order: rank pairs are
+    planned in that order and each meets a wall at most once.
+    """
+    found = defaultdict(list)
+    for n1p, n2p, dps, keys in plan:
+        for k, w in zip(keys, witnesses(repeat(n1p), repeat(n2p), dps)):
+            found[k].append(w)
+    for k in drop:
+        found.pop(k, None)
+    keys = sorted(found)
+    stabilized = repeat(False)
+    if aL is not None:
+        stabilized = map(math.floor(aL * L).__lt__, keys)
+    return zip(keys, map(found.__getitem__, keys), stabilized)
 
 
 def enumerate_walls(
@@ -280,23 +299,15 @@ def enumerate_walls(
     not a range endpoint stays, which is how (1, 5] style queries behave).
 
     Per admissible rank pair the wall equation is affine and monotone in
-    the degree sum d', so d' runs over one computable integer interval.
-    Each candidate is keyed by the integer k = alpha L on the common
-    lattice (1/L)Z of the type's walls; witnesses sharing an alpha are
-    merged, one Fraction k/L is built per wall, and witnesses come out in
-    (n1', n2', d') order because rank pairs are scanned in that order and
-    each pair meets a wall at most once.
+    the degree sum d', so d' runs over one computable integer interval;
+    one Fraction k/L is built per wall.
     """
-    L, kL, drop, plan = _wall_plan(T, interval, include_endpoints, g)
-    found: dict[int, list[WallWitness]] = defaultdict(list)
-    for n1p, n2p, dps, keys in plan:
-        for dp, k in zip(dps, keys):
-            found[k].append(WallWitness(n1p, n2p, dp))
-    for k in drop:
-        found.pop(k, None)
+    _, _, aL, L, drop, plan = _wall_plan(T, interval, include_endpoints, g)
     return tuple(
-        Wall(Fraction(k, L), tuple(found[k]), kL is not None and k > kL)
-        for k in sorted(found)
+        Wall(Fraction(k, L), tuple(ws), stabilized)
+        for k, ws, stabilized in _grouped(
+            aL, L, drop, plan, partial(map, WallWitness)
+        )
     )
 
 
@@ -310,18 +321,11 @@ def _wall_rows(
     stabilized) per wall, ascending, where num/den is alpha in lowest
     terms (den > 0) and rows are its witnesses as (n1', n2', d') tuples.
     Builds no Fraction and no dataclass."""
-    L, kL, drop, plan = _wall_plan(T, interval, include_endpoints, g)
-    found: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for n1p, n2p, dps, keys in plan:
-        for dp, k in zip(dps, keys):
-            found[k].append((n1p, n2p, dp))
-    for k in drop:
-        found.pop(k, None)
-    out = []
-    for k in sorted(found):
-        c = math.gcd(k, L)
-        out.append((k // c, L // c, found[k], kL is not None and k > kL))
-    return out
+    _, _, aL, L, drop, plan = _wall_plan(T, interval, include_endpoints, g)
+    return [
+        (k // (c := math.gcd(k, L)), L // c, rows, stabilized)
+        for k, rows, stabilized in _grouped(aL, L, drop, plan, zip)
+    ]
 
 
 def is_critical(T: TripleType, alpha: Rational) -> WallTest:
@@ -385,25 +389,20 @@ def chambers(
             "admissible range degenerates to the point alpha = %s; no "
             "chambers" % (rng.lo,)
         )
-    lo = rng.lo
-    alpha_L = _alpha_L_equal_ranks(T.n1, lo) if T.n1 == T.n2 else None
-    if alpha_L is not None:
-        if cutoff is not None:
-            top = Fraction(cutoff)
-            if top <= lo:
-                raise DomainError("cutoff must exceed alpha_m = %s" % (lo,))
-        else:
-            top = _default_top(alpha_L, g, lo)
-        top_is_alpha_M = False
-    else:
-        assert rng.hi is not None
-        top = rng.hi
-        top_is_alpha_M = True
-    # enumerate_walls already drops lo = alpha_m; of the window edges only
-    # an equal-rank cutoff can come back as a wall
-    walls = enumerate_walls(T, interval=(lo, top))
-    if walls and walls[-1].alpha == top:
-        walls = walls[:-1]
+    window = None
+    if cutoff is not None and T.n1 == T.n2:
+        if cutoff <= rng.lo:
+            raise DomainError("cutoff must exceed alpha_m = %s" % (rng.lo,))
+        window = (rng.lo, cutoff)
+    lo, top, alpha_L, L, drop, plan = _wall_plan(T, window, False, g)
+    # the plan drops alpha_m and alpha_M; an equal-rank top is dropped too
+    drop.append(top * L)
+    walls = tuple(
+        Wall(Fraction(k, L), tuple(ws), stabilized)
+        for k, ws, stabilized in _grouped(
+            alpha_L, L, drop, plan, partial(map, WallWitness)
+        )
+    )
     alphas = [w.alpha for w in walls]
     bounds = [lo] + alphas + [top]
     last = len(alphas)
@@ -419,7 +418,7 @@ def chambers(
         status = "below_range"
     elif marker == lo:
         status = "at_alpha_m"
-    elif top_is_alpha_M and marker == top:
+    elif alpha_L is None and marker == top:
         status = "at_alpha_M"
     elif marker > top:
         status = "above_range"
@@ -446,7 +445,7 @@ def chambers(
         walls=walls,
         alpha_m=lo,
         top=top,
-        top_is_alpha_M=top_is_alpha_M,
+        top_is_alpha_M=alpha_L is None,
         alpha_L=alpha_L,
         marker=marker,
         marker_status=status,

@@ -110,13 +110,18 @@ class TestExitCodes:
         assert code == 1
         assert "ranks >= 1" in err
 
-    def test_bad_genus_is_exit_one(self, capsys):
-        code, _, err = run(
-            capsys, "classify", "--p", "1", "--q", "1", "--a", "0",
-            "--b", "0", "--g", "1",
-        )
-        assert code == 1
-        assert "genus" in err
+    # walls checks a given genus also where its window does not use it:
+    # with n1 != n2, and with an explicit interval
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--p", "1", "--q", "1", "--a", "0", "--b", "0"),
+        ("walls", "--n1", "2", "--n2", "1", "--d1", "4", "--d2", "1"),
+        ("walls", "--n1", "1", "--n2", "1", "--d1", "1", "--d2", "0",
+         "--interval", "0", "3"),
+    ], ids=["classify", "walls", "walls-interval"])
+    def test_bad_genus_is_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--g", "1")
+        assert (code, out) == (1, "")
+        assert "genus must be an integer >= 2" in err
 
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
@@ -434,7 +439,8 @@ class TestClassifyCommand:
 
 class TestNegativeRationals:
     """A negative rational -N/D is a value, not a flag, as a separate
-    token too: the only spelling of the two-valued --interval."""
+    token too: the only spelling of the two-valued --interval. So is an
+    integer list that starts with a negative entry."""
 
     TRIPLE = ("--n1", "2", "--n2", "1", "--d1", "4", "--d2", "1")
 
@@ -444,12 +450,23 @@ class TestNegativeRationals:
         assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
         for sp in SUBCOMMANDS.values():
             assert sp._negative_number_matcher.match("-1/2")
+            assert sp._negative_number_matcher.match("-1,0")
 
     def test_separate_token_matches_equals_spelling(self, capsys):
         for mode in ((), ("--json",)):
             spaced = run(capsys, "triple", *self.TRIPLE, "--alpha", "-1/2",
                          *mode)
             joined = run(capsys, "triple", *self.TRIPLE, "--alpha=-1/2",
+                         *mode)
+            assert spaced == joined
+            assert spaced[0] == 0
+
+    def test_negative_list_as_a_separate_token(self, capsys):
+        ranks = ("morse", "--ranks", "1,1")
+        for mode in ((), ("--json",)):
+            spaced = run(capsys, *ranks, "--degrees", "-1,0", "--g", "2",
+                         *mode)
+            joined = run(capsys, *ranks, "--degrees=-1,0", "--g", "2",
                          *mode)
             assert spaced == joined
             assert spaced[0] == 0
@@ -572,8 +589,12 @@ def argvs(draw):
             continue
         flag = action.option_strings[0]
         if action.nargs is None:
-            # --flag=value, so a value such as -1,2 is not read as a flag
-            argv.append("%s=%s" % (flag, draw(_value(action))))
+            # either spelling: a value such as -1,2 is no flag in both
+            value = draw(_value(action))
+            if draw(st.booleans()):
+                argv.append("%s=%s" % (flag, value))
+            else:
+                argv += [flag, value]
         else:
             n = action.nargs
             argv += [flag] + draw(st.lists(_value(action), min_size=n, max_size=n))

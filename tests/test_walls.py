@@ -331,12 +331,17 @@ class TestWallRowsAgainstEnumerateWalls:
             checked += 1
 
     def test_refusals_are_the_same(self):
-        for T, kwargs in [
-            (TripleType(1, 1, 1, 0), {}),
-            (TripleType(2, 1, 4, 1), {"interval": (F(3), F(2))}),
-            (TripleType(1, 1, 1, 0), {"g": 1}),
+        genus = "genus must be an integer >= 2"
+        for T, kwargs, message in [
+            (TripleType(1, 1, 1, 0), {}, "unbounded"),
+            (TripleType(2, 1, 4, 1), {"interval": (F(3), F(2))}, "lo > hi"),
+            (TripleType(1, 1, 1, 0), {"g": 1}, genus),
+            # a given genus is checked where the window does not use it
+            (TripleType(2, 1, 4, 1), {"g": "x"}, genus),
+            (TripleType(1, 1, 1, 0), {"g": 1, "interval": (0, 3)}, genus),
+            (TripleType(1, 1, 0, 1), {"g": 1}, genus),
         ]:
-            with pytest.raises(DomainError) as public:
+            with pytest.raises(DomainError, match=message) as public:
                 enumerate_walls(T, **kwargs)
             with pytest.raises(DomainError) as rows:
                 _wall_rows(T, **kwargs)
@@ -346,7 +351,7 @@ class TestWallRowsAgainstEnumerateWalls:
 def plan_candidates(T, **kwargs):
     """Witness candidates of the scan plan: the sum of its d'-range
     lengths, with no scan run."""
-    _, _, _, plan = _wall_plan(T, kwargs.get("interval"), True, kwargs.get("g"))
+    *_, plan = _wall_plan(T, kwargs.get("interval"), True, kwargs.get("g"))
     return sum(len(dps) for _, _, dps, _ in plan)
 
 
@@ -467,6 +472,7 @@ class TestChambers:
     )
     @example(TripleType(1, 1, 1, 0), 2, 4)  # cutoff = 2g-2, no wall there
     @example(TripleType(1, 1, 1, 0), 2, 8)  # cutoff on the wall alpha = 3
+    @example(TripleType(1, 1, 1, 0), 2, None)  # default top 3 is a wall
     @settings(max_examples=200, deadline=None)
     def test_chambers_match_the_linear_reference(self, T, g, cut):
         rng = alpha_range(T)
@@ -651,6 +657,6 @@ class TestRecordsAreBuiltThroughTheirClassNames:
             made.update(dict.fromkeys(made, 0))
             rep = chambers(T, 2)
             assert made["Chamber"] == len(rep.chambers)
-            # a wall at the top of an equal-rank window is built, then
-            # dropped
-            assert made["Wall"] - len(rep.walls) in (0, 1)
+            # a wall at the top of an equal-rank window is dropped by its
+            # key, before any Wall is built
+            assert made["Wall"] == len(rep.walls)
