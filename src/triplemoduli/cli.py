@@ -15,8 +15,9 @@ reached through dict entries, never through a list item.
 Imports are deferred: each subcommand's handler imports the math
 modules it calls when it runs, and a usage error imports none. Most of
 a small request is interpreter start-up and imports, and defining the
-frozen result dataclasses is most of the cost of importing a math
-module, so a request defines only the dataclasses it uses. Handlers
+result records is about half the cost of importing a math module, so a
+request defines only the records it uses; no request imports
+dataclasses (``errors.record`` builds the records without it). Handlers
 mark the lists of tuples that grow with a request (walls, census rows)
 as blocks; ``walls`` takes its walls straight from the integer wall
 scan, so a large request builds no ``Wall``, ``WallWitness`` or
@@ -77,33 +78,31 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(map(_integer, text.split(",")))
 
 
-# The report keys that differ from their dataclass field names.
+# The report keys that differ from their record field names.
 _RENAMES = {"tau_M": "tau_max", "case_tag": "case"}
 
 
 def _wire(obj, drop=()) -> dict:
-    """Report form of a dataclass: its fields in declaration order, with
-    nested dataclasses, alone or in tuples, expanded the same way.
+    """Report form of a record: its fields (``__match_args__``) in
+    declaration order, with nested records, alone or in tuples, expanded
+    the same way.
 
     Fields named in ``drop`` are left out at every depth, and keys follow
     ``_RENAMES``. None in a field named hi or alpha_M is an unbounded
     range endpoint and is written "inf"; any other None stays null.
     """
-    # imported here: a usage error, which calls no handler, never needs it
-    import dataclasses
-
     out = {}
-    for f in dataclasses.fields(obj):
-        if f.name in drop:
+    for name in obj.__match_args__:
+        if name in drop:
             continue
-        value = getattr(obj, f.name)
-        if value is None and f.name in ("hi", "alpha_M"):
+        value = getattr(obj, name)
+        if value is None and name in ("hi", "alpha_M"):
             value = "inf"
-        elif dataclasses.is_dataclass(value):
+        elif hasattr(value, "__match_args__"):
             value = _wire(value, drop)
-        elif isinstance(value, tuple) and value and dataclasses.is_dataclass(value[0]):
+        elif isinstance(value, tuple) and value and hasattr(value[0], "__match_args__"):
             value = [_wire(v, drop) for v in value]
-        out[_RENAMES.get(f.name, f.name)] = value
+        out[_RENAMES.get(name, name)] = value
     return out
 
 

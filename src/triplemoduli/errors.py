@@ -3,6 +3,7 @@ library."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -40,53 +41,123 @@ def require_rational(name: str, value) -> None:
         )
 
 
+# Every record's __setattr__ and __delattr__: dataclasses is imported
+# only to raise its FrozenInstanceError.
+def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError("cannot assign to field %r" % name)
+
+
+def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError("cannot delete field %r" % name)
+
+
+class _TwinFields:
+    """A record's ``__dataclass_fields__``, made on first access: the
+    fields of a plain frozen dataclass twin with the same names, types
+    and defaults, which then replace this descriptor on the class. So
+    ``dataclasses.fields``, ``replace``, ``astuple`` and
+    ``is_dataclass`` work on records, and only their callers, who have
+    imported dataclasses already, pay for the twin."""
+
+    def __init__(self, defaults: dict):
+        self.defaults = defaults
+
+    def __get__(self, obj, cls):
+        from dataclasses import field, make_dataclass
+
+        spec = [
+            (name, kind, field(default=self.defaults[name]))
+            if name in self.defaults
+            else (name, kind)
+            for name, kind in cls.__annotations__.items()
+        ]
+        twin = make_dataclass(cls.__name__, spec, frozen=True)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        return twin.__dataclass_fields__
+
+
 def record(cls):
-    """Make cls a frozen, slotted dataclass: the form of every result
-    record in the library.
+    """Make cls a frozen, slotted record: the form of every result record
+    in the library.
 
-    A census or a wall scan builds thousands of small records, so each
-    one has no __dict__ and no weak references, and an __init__ that
-    stores each field through its slot descriptor instead of the frozen
-    __setattr__. For the three-field WallWitness that about halves the
-    cost of building one and cuts its memory by about a third. The
-    __init__ keeps the parameter names, order, defaults and annotations
-    of the dataclass __init__ and calls __post_init__ when the class
-    defines one. Records compare, hash, print, copy, pickle, ``replace``
-    and raise FrozenInstanceError as plain frozen dataclasses do. A
-    record needs a docstring of its own: dataclasses signs an
-    undocumented class before this __init__ exists, as "Name()".
+    Every annotation of cls is a field, in declaration order; a class
+    attribute of the same name is its default (``Wall.stabilized``).
+    The record is a new class, made by one ``type()`` call, with
+    ``__slots__`` and ``__match_args__`` of the field names, so it has
+    no __dict__ and takes no weak references. One ``exec`` generates its
+    ``__init__``, ``__repr__``, ``__eq__``, ``__hash__``,
+    ``__getstate__`` and ``__setstate__`` (and, from Python 3.13 on,
+    ``__replace__`` for ``copy.replace``). ``__init__`` stores each
+    field through its slot descriptor, not a frozen dataclass's
+    ``object.__setattr__`` per field, which about halves the cost of
+    building a small record; it then calls __post_init__ when the class
+    defines one, and its parameter names, order, defaults and
+    annotations are those of the dataclass __init__. Records compare,
+    hash, print, copy, pickle and ``replace``, and raise
+    FrozenInstanceError on assignment or deletion, as plain frozen
+    dataclasses do.
 
-    dataclasses is imported here, not at the top, so that a CLI request
-    that defines no record does not load it.
+    Nothing here imports dataclasses, which loads inspect, ast and dis
+    and takes longer to import than a small CLI request takes to
+    compute: only a raised FrozenInstanceError and the first
+    ``__dataclass_fields__`` lookup (``_TwinFields``) import it.
     """
-    from dataclasses import MISSING, dataclass, fields
+    names = tuple(cls.__annotations__)
+    ns = {
+        k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")
+    }
+    defaults = {n: ns.pop(n) for n in names if n in ns}
 
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    # slots=True builds a new class, but the frozen __setattr__ and
-    # __delattr__ it copies still test ``type(self) is`` the class it
-    # replaced, so setting or deleting a name that is not a field would
-    # raise TypeError from super() instead of FrozenInstanceError; they
-    # are pointed at the new class.
-    for method in (cls.__setattr__, cls.__delattr__):
-        for cell in method.__closure__ or ():
-            old = cell.cell_contents
-            if isinstance(old, type) and old.__qualname__ == cls.__qualname__:
-                cell.cell_contents = cls
-    fs = fields(cls)
-    params, body = ["self"], []
-    ns = {"__name__": cls.__module__}
-    for i, f in enumerate(fs):
-        ns["_set%d" % i] = getattr(cls, f.name).__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            ns["_default%d" % i] = f.default
-            params.append("%s=_default%d" % (f.name, i))
-        body.append("_set%d(self, %s)" % (i, f.name))
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    exec("def __init__(%s):\n %s" % (", ".join(params), "\n ".join(body)), ns)
-    init = cls.__init__ = ns["__init__"]
-    init.__qualname__ = cls.__qualname__ + ".__init__"
-    init.__annotations__ = {f.name: f.type for f in fs} | {"return": None}
-    return cls
+    def each(form, sep=", "):
+        return sep.join(form % {"n": n, "i": i} for i, n in enumerate(names))
+
+    params = ", ".join(
+        n + "=_defaults[%r]" % n if n in defaults else n for n in names
+    )
+    src = [
+        "def __init__(self, %s):" % params,
+        each(" _set_%(n)s(self, %(n)s)", "\n"),
+        " self.__post_init__()" if "__post_init__" in ns else "",
+        "def __repr__(self):",
+        ' return f"{type(self).__qualname__}(%s)"' % each("%(n)s={self.%(n)s!r}"),
+        "def __eq__(self, other):",
+        " if self is other: return True",
+        " if other.__class__ is not self.__class__: return NotImplemented",
+        " return " + each("self.%(n)s == other.%(n)s", " and "),
+        "def __hash__(self):",
+        " return hash((%s,))" % each("self.%(n)s"),
+        "def __getstate__(self):",
+        " return [%s]" % each("self.%(n)s"),
+        "def __setstate__(self, state):",
+        each(" _set_%(n)s(self, state[%(i)d])", "\n"),
+    ]
+    if sys.version_info >= (3, 13):
+        # copy.replace goes through __init__, so __post_init__ still checks
+        src += [
+            "def __replace__(self, /, **changes):",
+            " return self.__class__(**{%s, **changes})" % each("%(n)r: self.%(n)s"),
+        ]
+    scope = {"__name__": cls.__module__, "_defaults": defaults}
+    methods = {}
+    exec("\n".join(src), scope, methods)
+    for name, method in methods.items():
+        method.__qualname__ = cls.__qualname__ + "." + name
+    methods["__init__"].__annotations__ = {**cls.__annotations__, "return": None}
+    ns.update(
+        methods,
+        __slots__=names,
+        __match_args__=names,
+        __qualname__=cls.__qualname__,
+        __setattr__=_frozen_setattr,
+        __delattr__=_frozen_delattr,
+        __dataclass_fields__=_TwinFields(defaults),
+    )
+    new = type(cls)(cls.__name__, cls.__bases__, ns)
+    # the slot descriptors exist only now; the methods look them up by name
+    for name in names:
+        scope["_set_" + name] = getattr(new, name).__set__
+    return new

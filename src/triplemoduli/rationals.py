@@ -7,7 +7,7 @@ interval endpoints. These helpers give rationals a stable wire format:
 JSON numbers and nothing ever round-trips through binary floating point.
 
 ``None`` also means "absent", so these helpers leave it as null. The CLI
-turns a dataclass into its report dict with ``cli._wire``, which writes
+turns a result record into its report dict with ``cli._wire``, which writes
 it as "inf" in the fields that hold an unbounded endpoint:
 ``AlphaInterval.hi``, ``Thresholds.alpha_M`` and ``MWReport.alpha_M``,
 each None exactly when its ranks are equal. The CLI's report writers

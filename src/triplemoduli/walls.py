@@ -24,7 +24,7 @@ p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2). One plan
 (_wall_plan) resolves the window and one scan (_grouped) groups its
 candidates by key: enumerate_walls and chambers build Wall records from
 it, and _wall_rows the int rows the CLI writes, alpha in lowest terms,
-with no Fraction or dataclass per wall.
+with no Fraction or record per wall.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ def _wall_rows(
     """enumerate_walls in plain ints, for writing: one (num, den, rows,
     stabilized) per wall, ascending, where num/den is alpha in lowest
     terms (den > 0) and rows are its witnesses as (n1', n2', d') tuples.
-    Builds no Fraction and no dataclass."""
+    Builds no Fraction and no record."""
     _, _, aL, L, drop, plan = _wall_plan(T, interval, include_endpoints, g)
     return [
         (k // (c := math.gcd(k, L)), L // c, rows, stabilized)

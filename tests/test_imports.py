@@ -50,6 +50,29 @@ def run_main(argv: str, code: int) -> str:
     )
 
 
+# One successful request per subcommand, and the math modules it loads.
+REQUESTS = {
+    "triple": ("triple --n1 2 --n2 1 --d1 4 --d2 1 --g 2", ["triples"]),
+    "walls": ("walls --n1 2 --n2 1 --d1 4 --d2 1", ["triples", "walls"]),
+    "chambers": (
+        "chambers --n1 2 --n2 1 --d1 4 --d2 1 --g 2",
+        ["triples", "walls"],
+    ),
+    "higgs": ("higgs --p 2 --q 3 --a 1 --b 1 --g 2", ["higgs", "triples"]),
+    "rigidity": (
+        "rigidity --p 1 --q 2 --a 1 --b 0 --g 2",
+        ["higgs", "triples"],
+    ),
+    "morse": ("morse --ranks 1,1 --degrees 1,0 --g 2", ["morse"]),
+    "census": ("census --p 1 --q 1 --g 2", ["census"]),
+    "classify": (
+        "classify --p 2 --q 3 --a 1 --b 1 --g 2",
+        ["classify", "higgs", "triples"],
+    ),
+}
+MODES = {"text": "", "json": " --json"}
+
+
 class TestImportSet:
     def test_importing_the_package_or_the_cli_loads_no_math_module(self):
         assert loaded_after("import triplemoduli") == []
@@ -57,32 +80,14 @@ class TestImportSet:
 
     @pytest.mark.parametrize(
         "argv, code, modules",
-        [
-            ("triple --n1 2 --n2 1 --d1 4 --d2 1 --g 2", 0, ["triples"]),
-            ("walls --n1 2 --n2 1 --d1 4 --d2 1", 0, ["triples", "walls"]),
-            (
-                "chambers --n1 2 --n2 1 --d1 4 --d2 1 --g 2",
-                0,
-                ["triples", "walls"],
-            ),
-            ("higgs --p 2 --q 3 --a 1 --b 1 --g 2", 0, ["higgs", "triples"]),
-            ("rigidity --p 1 --q 2 --a 1 --b 0 --g 2", 0, ["higgs", "triples"]),
-            ("morse --ranks 1,1 --degrees 1,0 --g 2", 0, ["morse"]),
-            ("census --p 1 --q 1 --g 2", 0, ["census"]),
-            (
-                "classify --p 2 --q 3 --a 1 --b 1 --g 2",
-                0,
-                ["classify", "higgs", "triples"],
-            ),
+        [(argv, 0, modules) for argv, modules in REQUESTS.values()]
+        + [
             ("walls --n1 2 --n2 1 --d1 4 --d2 1/0", 2, []),
             ("census --p 1", 2, []),
         ],
-        ids=[
-            "triple", "walls", "chambers", "higgs", "rigidity", "morse",
-            "census", "classify", "usage-malformed", "usage-missing",
-        ],
+        ids=[*REQUESTS, "usage-malformed", "usage-missing"],
     )
-    @pytest.mark.parametrize("mode", ["", " --json"], ids=["text", "json"])
+    @pytest.mark.parametrize("mode", MODES.values(), ids=MODES)
     def test_a_request_loads_only_the_modules_its_subcommand_uses(
         self, argv, code, modules, mode
     ):
@@ -92,15 +97,30 @@ class TestImportSet:
         "code",
         [
             "import triplemoduli.cli",
+            *(
+                run_main(argv + mode, 0)
+                for argv, _ in REQUESTS.values()
+                for mode in MODES.values()
+            ),
             run_main("walls --n1 2 --n2 1 --d1 4 --d2 1/0", 2),
             run_main("census --p 1 --json", 2),
         ],
-        ids=["import", "usage-malformed", "usage-missing"],
+        ids=[
+            "import",
+            *("%s-%s" % (name, mode) for name in REQUESTS for mode in MODES),
+            "usage-malformed",
+            "usage-missing",
+        ],
     )
-    def test_the_cli_alone_does_not_load_dataclasses(self, code):
-        # only the report form of a result dataclass needs the module
-        out = fresh(code + "\nimport sys\nprint('dataclasses' in sys.modules)")
-        assert out.splitlines()[-1] == "False"
+    def test_no_request_loads_dataclasses_inspect_ast_or_dis(self, code):
+        # records are built without dataclasses (errors.record); only
+        # callers of dataclasses.fields, replace and the like load it
+        out = fresh(
+            code + "\nimport sys\n"
+            "print([m for m in ('dataclasses', 'inspect', 'ast', 'dis') "
+            "if m in sys.modules])"
+        )
+        assert out.splitlines()[-1] == "[]"
 
 
 class TestPackageNames:

@@ -10,6 +10,8 @@ import inspect
 import itertools
 import pickle
 import re
+import sys
+import textwrap
 import weakref
 from fractions import Fraction as F
 from importlib import import_module
@@ -48,6 +50,7 @@ from triplemoduli.walls import (
 )
 
 from oracles import oracle_twin
+from test_imports import fresh
 
 MATH = ("census", "classify", "higgs", "morse", "triples", "walls")
 RECORDS = [
@@ -201,6 +204,30 @@ class TestRecordContract:
         for dup in (copy.copy(a), copy.deepcopy(a)):
             assert type(dup) is cls and dup == a and repr(dup) == repr(a)
 
+    def test_match_args_bind_the_fields_in_a_class_pattern(self, cls, pair):
+        twin = type(oracle_twin(pair[0]))
+        assert cls.__match_args__ == twin.__match_args__ == names(cls)
+        # case Cls(v0, v1, ...): one capture per field, by position
+        captures = ", ".join("v%d" % i for i in range(len(names(cls))))
+        code = "match rec:\n case cls(%s):\n  bound = (%s,)" % (
+            captures,
+            captures,
+        )
+        for rec in pair:
+            scope = {"cls": cls, "rec": rec}
+            exec(code, scope)
+            assert scope["bound"] == values(rec)
+
+    def test_copy_replace_where_the_plain_twin_has_it(self, cls, pair):
+        a, b = pair
+        twin = type(oracle_twin(a))
+        # plain dataclasses have __replace__ from Python 3.13 on
+        assert hasattr(cls, "__replace__") == hasattr(twin, "__replace__")
+        if sys.version_info >= (3, 13):
+            assert copy.replace(a) == a
+            moved = copy.replace(a, **dict(zip(names(cls), values(b))))
+            assert type(moved) is cls and moved == b
+
 
 def test_wall_stabilized_defaults_to_false():
     assert Wall(F(3), ()).stabilized is False
@@ -240,6 +267,69 @@ class TestValidatedRecords:
         assert type(C.ranks) is tuple and type(C.degrees) is tuple
         C = dataclasses.replace(C, ranks=[2, 2])
         assert type(C.ranks) is tuple and C == HodgeChain((2, 2), (3, -1))
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 13), reason="copy.replace is new in 3.13"
+    )
+    def test_copy_replace_still_validates(self):
+        assert copy.replace(T, d2=0) == TripleType(2, 1, 4, 0)
+        with pytest.raises(DomainError):
+            copy.replace(T, n1=-1)
+        with pytest.raises(DomainError):
+            copy.replace(H, g=1)
+        C = copy.replace(HodgeChain((1, 1), (1, 0)), ranks=[2, 2])
+        assert type(C.ranks) is tuple and C == HodgeChain((2, 2), (1, 0))
+
+
+def test_dataclasses_imported_after_the_records_sees_them():
+    """Records are built without dataclasses; a process that imports it
+    later still gets fields, replace, astuple and is_dataclass on every
+    record class and instance, first reached from either, and
+    FrozenInstanceError from setting or deleting any name."""
+    out = fresh(
+        textwrap.dedent(
+            """\
+            import sys
+            from triplemoduli.morse import HodgeChain
+            from triplemoduli.triples import TripleType
+            from triplemoduli.walls import Wall, WallWitness
+            recs = [
+                TripleType(2, 1, 4, 1),
+                Wall(3, (WallWitness(1, 0, 2),)),
+                HodgeChain((1, 1), (1, 0)),
+            ]
+            assert "dataclasses" not in sys.modules
+            refused = []
+            for rec in recs:
+                for name in (rec.__match_args__[0], "extra"):
+                    for act in (setattr, delattr):
+                        try:
+                            act(rec, name, 1) if act is setattr else act(rec, name)
+                        except Exception as exc:
+                            refused.append(exc)
+            import dataclasses
+            assert len(refused) == 12, refused
+            for exc in refused:
+                assert type(exc) is dataclasses.FrozenInstanceError, exc
+            for i, rec in enumerate(recs):
+                cls = type(rec)
+                # the twin fields are made on first access, from either
+                for obj in (cls, rec) if i % 2 else (rec, cls):
+                    assert dataclasses.is_dataclass(obj)
+                    names = tuple(f.name for f in dataclasses.fields(obj))
+                    assert names == cls.__match_args__
+                vals = tuple(getattr(rec, n) for n in cls.__match_args__)
+                assert dataclasses.astuple(cls(*vals)) == dataclasses.astuple(rec)
+                assert dataclasses.replace(rec) == rec
+                assert type(dataclasses.replace(rec)) is cls
+            assert dataclasses.fields(Wall)[2].default is False
+            assert dataclasses.astuple(recs[1]) == (3, ((1, 0, 2),), False)
+            assert dataclasses.replace(recs[0], d2=0) == TripleType(2, 1, 4, 0)
+            print("ok")
+            """
+        )
+    )
+    assert out == "ok\n"
 
 
 def assert_matches_twin(out, last):
