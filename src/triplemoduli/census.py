@@ -16,7 +16,8 @@ region column by column, reading each column's b-interval off the band,
 canonicalizes a pair by that floor-division shift, partitions classes by
 the coprimality gcd(p + q, a + b) = 1 (which is class-invariant), and
 reports the lattice geometry of tau on classes: image step 2k/(p + q),
-kernel of size k generated by (p/k, q/k).
+kernel of size k generated by (p/k, q/k). enumerate_region pauses the
+cyclic collector while it builds (errors._gc_paused): classes hold no cycle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, record, require_int
+from .errors import DomainError, _gc_paused, record, require_int
 from .rationals import Rational
 
 
@@ -128,6 +129,7 @@ def canonicalize(p: int, q: int, g: int, a: int, b: int) -> ClassPair:
     return ClassPair(a + l * p, b + l * q, canonical=True)
 
 
+@_gc_paused
 def enumerate_region(p: int, q: int, g: int) -> CensusReport:
     """Enumerate every class representative, grouped into tau-lines.
 

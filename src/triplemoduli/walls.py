@@ -24,7 +24,8 @@ p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2). One plan
 (_wall_plan) resolves the window and one scan (_grouped) groups its
 candidates by key: enumerate_walls and chambers build Wall records from
 it, and _wall_rows the int rows the CLI writes, alpha in lowest terms,
-with no Fraction or record per wall.
+with no Fraction or record per wall. All three pause the cyclic collector
+while they build (errors._gc_paused): walls and witnesses hold no cycle.
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ from functools import partial
 from itertools import repeat
 from typing import Optional
 
-from .errors import DomainError, record, require_int, require_rational
+from .errors import (
+    DomainError,
+    _gc_paused,
+    record,
+    require_int,
+    require_rational,
+)
 from .rationals import Rational
 from .triples import (
     TripleType,
@@ -281,6 +288,7 @@ def _grouped(aL, L, drop, plan, witnesses):
     return zip(keys, map(found.__getitem__, keys), stabilized)
 
 
+@_gc_paused
 def enumerate_walls(
     T: TripleType,
     interval: Optional[tuple[Rational, Rational]] = None,
@@ -311,6 +319,7 @@ def enumerate_walls(
     )
 
 
+@_gc_paused
 def _wall_rows(
     T: TripleType,
     interval: Optional[tuple[Rational, Rational]] = None,
@@ -361,6 +370,7 @@ def integer_genericity(T: TripleType, m: int) -> GenericityFacts:
     )
 
 
+@_gc_paused
 def chambers(
     T: TripleType, g: int, cutoff: Optional[Rational] = None
 ) -> ChamberReport:
