@@ -22,10 +22,12 @@ candidate by its integer numerator k = alpha L and builds one Fraction per
 wall; is_critical tests alpha = p/q by the divisibility of
 p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2). One plan
 (_wall_plan) resolves the window and one scan (_grouped) groups its
-candidates by key: enumerate_walls and chambers build Wall records from
-it, and _wall_rows the int rows the CLI writes, alpha in lowest terms,
-with no Fraction or record per wall. All three pause the cyclic collector
-while they build (errors._gc_paused): walls and witnesses hold no cycle.
+candidates by key, one key window of about 8,192 candidates at a time,
+so its grouping dict holds one window, whatever the request:
+enumerate_walls and chambers build Wall records from it, and _wall_rows
+the int rows the CLI writes, alpha in lowest terms, with no Fraction or
+record per wall. All three pause the cyclic collector while they build
+(errors._gc_paused): walls and witnesses hold no cycle.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 from .errors import (
@@ -266,6 +268,10 @@ def _wall_plan(
     return lo, hi, aL, L, drop, plan
 
 
+# about the most candidates _grouped holds in one dict
+_WINDOW = 8192
+
+
 def _grouped(aL, L, drop, plan, witnesses):
     """The walls of a _wall_plan by key k = alpha L, ascending: an
     iterator of (k, witnesses, stabilized), without the keys in ``drop``.
@@ -274,7 +280,51 @@ def _grouped(aL, L, drop, plan, witnesses):
     n1', n2', d': ``zip`` gives int rows, ``partial(map, WallWitness)``
     records. They come out in (n1', n2', d') order: rank pairs are
     planned in that order and each meets a wall at most once.
+
+    A plan of at most _WINDOW candidates is grouped as one window, with
+    no slicing and no generator. A larger one is cut into key windows
+    [a, a + width) of about _WINDOW candidates each, in ascending
+    order; each is grouped, sorted and emitted (a zip, the windows
+    chained) before the next is built, so memory is bounded by the
+    window, not by the request. Every key of a window is below every
+    key of the next, and a wall's witnesses all share its key, so the
+    output is the one-window output.
     """
+    total = sum(len(dps) for _, _, dps, _ in plan)
+    if total <= _WINDOW:
+        return _group(aL, L, drop, plan, witnesses)
+    # a rank pair meets each key at most once, so reversing a falling
+    # pair's ranges reorders no wall's witnesses
+    rising = [
+        (n1p, n2p, dps, keys) if keys.step > 0
+        else (n1p, n2p, dps[::-1], keys[::-1])
+        for n1p, n2p, dps, keys in plan
+        if keys
+    ]
+    first = min(keys[0] for *_, keys in rising)
+    stop = max(keys[-1] for *_, keys in rising) + 1
+    windows = -(-total // _WINDOW)
+    width = -(-(stop - first) // windows)
+    return chain.from_iterable(
+        _group(aL, L, drop, _window(rising, a, a + width), witnesses)
+        for a in range(first, stop, width)
+    )
+
+
+def _window(rising, a, b):
+    """The ascending plan ``rising`` cut to the keys in [a, b)."""
+    window = []
+    for n1p, n2p, dps, keys in rising:
+        i = bisect.bisect_left(keys, a)
+        j = bisect.bisect_left(keys, b)
+        if i < j:
+            window.append((n1p, n2p, dps[i:j], keys[i:j]))
+    return window
+
+
+def _group(aL, L, drop, plan, witnesses):
+    """_grouped over one window: every candidate of ``plan`` in one dict,
+    then its keys sorted."""
     found = defaultdict(list)
     for n1p, n2p, dps, keys in plan:
         for k, w in zip(keys, witnesses(repeat(n1p), repeat(n2p), dps)):

@@ -6,7 +6,9 @@ degree window and keeping exact rational hits, rather than by the
 per-rank-pair monotone interval and integer lattice keys the library
 uses; criticality at one alpha divides Fractions instead of testing
 integer divisibility; alpha_L is the largest of those walls, not a
-ceiling or floor per rank pair. The census region is
+ceiling or floor per rank pair; and the grouping of the library's own
+scan plan is the one dict over every candidate it was before it went
+one key window at a time. The census region is
 found by testing every cell of a grid against the two half-open strips,
 and a canonical representative by searching a window of translates,
 rather than by the closed-form column walk and floor-division shift.
@@ -32,8 +34,11 @@ library first defined them, rather than a slotted record whose
 
 import functools
 import json
+import math
+from collections import defaultdict
 from dataclasses import MISSING, field, fields, is_dataclass, make_dataclass
 from fractions import Fraction as F
+from itertools import repeat
 
 from triplemoduli.census import enumerate_region
 from triplemoduli.classify import (
@@ -118,6 +123,24 @@ def oracle_walls(T, lo, hi):
                 if lo <= alpha <= hi:
                     found.setdefault(alpha, set()).add((n1p, n2p, dp))
     return found
+
+
+def reference_grouped(aL, L, drop, plan, witnesses):
+    """walls._grouped as it was before it grouped one key window at a
+    time: every candidate of the plan in one dict, then the keys sorted.
+    It shares the plan with the library, so it checks the windowing,
+    not the plan."""
+    found = defaultdict(list)
+    for n1p, n2p, dps, keys in plan:
+        for k, w in zip(keys, witnesses(repeat(n1p), repeat(n2p), dps)):
+            found[k].append(w)
+    for k in drop:
+        found.pop(k, None)
+    keys = sorted(found)
+    stabilized = repeat(False)
+    if aL is not None:
+        stabilized = map(math.floor(aL * L).__lt__, keys)
+    return zip(keys, map(found.__getitem__, keys), stabilized)
 
 
 def oracle_alpha_L(T):

@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +39,7 @@ from oracles import (
     oracle_is_critical,
     oracle_twin,
     oracle_walls,
+    reference_grouped,
 )
 
 ranks = st.integers(min_value=1, max_value=4)
@@ -364,6 +367,146 @@ class TestPlanCandidates:
 
     def test_frozen_large_count(self):
         assert plan_candidates(TripleType(5, 3, 4000, -4000)) == 157878
+
+
+def scan_inputs(T, interval=None, include_endpoints=False, g=None):
+    """_grouped's arguments for one enumerate_walls call."""
+    _, _, aL, L, drop, plan = _wall_plan(T, interval, include_endpoints, g)
+    return aL, L, drop, plan
+
+
+BUILDERS = [zip, partial(map, WallWitness)]
+
+
+class TestWindowedScan:
+    """walls._grouped groups one key window of about _WINDOW candidates
+    at a time. With windows of 1-9 candidates every scan below runs
+    through many windows, so rank pairs with falling keys (det < 0),
+    dropped endpoint keys and the stabilized flags meet window edges."""
+
+    @given(
+        triple_types(),
+        st.integers(1, 9),
+        st.one_of(
+            st.tuples(st.integers(2, 4), st.booleans(), st.none()),
+            st.tuples(
+                st.none(),
+                st.booleans(),
+                st.tuples(st.integers(0, 60), st.integers(0, 240)),
+            ),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_small_windows_match_the_reference_and_the_oracle(
+        self, T, window, case
+    ):
+        g, include_endpoints, offsets = case
+        interval = None
+        if offsets is not None:
+            lo = alpha_range(T).lo
+            interval = (lo - F(offsets[0], 17), lo + F(offsets[1], 17))
+        elif alpha_range(T).empty:
+            return
+        args = scan_inputs(T, interval, include_endpoints, g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walls_module, "_WINDOW", window)
+            for build in BUILDERS:
+                got = list(walls_module._grouped(*args, build))
+                assert got == list(reference_grouped(*args, build))
+            walls = enumerate_walls(
+                T, interval, include_endpoints=include_endpoints, g=g
+            )
+        if interval is None:
+            interval = default_window(T, g)
+        assert walls == oracle_wall_tuple(T, *interval, include_endpoints)
+
+    @given(
+        triple_types(),
+        st.integers(1, 9),
+        st.integers(2, 4),
+        st.one_of(st.none(), st.integers(1, 60)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_small_windows_give_the_same_chambers(self, T, window, g, cut):
+        rng = alpha_range(T)
+        if rng.empty or rng.single_point:
+            return
+        cutoff = None if cut is None or T.n1 != T.n2 else rng.lo + F(cut, 4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walls_module, "_WINDOW", window)
+            report = chambers(T, g, cutoff)
+        assert report == reference_chambers(T, g, cutoff)
+
+    def test_windows_partition_the_plan(self, monkeypatch):
+        """The candidates of each window, recorded through walls._group,
+        together are the plan's, each once; windows ascend in key and
+        hold at most _WINDOW candidates plus a few per rank pair. Over
+        the sweep some window edge falls on a dropped key, and some
+        between the last plain and the first stabilized key."""
+        real_group = walls_module._group
+        windows = []
+
+        def recording_group(aL, L, drop, plan, witnesses):
+            windows.append(plan)
+            return real_group(aL, L, drop, plan, witnesses)
+
+        def candidates(plan):
+            return [
+                (k, n1p, n2p, d)
+                for n1p, n2p, dps, keys in plan
+                for d, k in zip(dps, keys)
+            ]
+
+        monkeypatch.setattr(walls_module, "_group", recording_group)
+        dropped_at_edge = stabilized_at_edge = 0
+        for n1, n2, d1, d2 in itertools.product(
+            range(1, 4), range(1, 4), range(-6, 7, 3), range(-6, 7, 3)
+        ):
+            T = TripleType(n1, n2, d1, d2)
+            if alpha_range(T).empty:
+                continue
+            aL, L, drop, plan = args = scan_inputs(T, g=2)
+            expected = list(reference_grouped(*args, zip))
+            whole = sorted(candidates(plan))
+            for window in range(1, 10):
+                monkeypatch.setattr(walls_module, "_WINDOW", window)
+                windows.clear()
+                assert list(walls_module._grouped(*args, zip)) == expected
+                parts = [sorted(candidates(cut)) for cut in windows]
+                assert sorted(c for part in parts for c in part) == whole
+                assert max(map(len, parts)) <= window + 4 * len(plan)
+                spans = [(part[0][0], part[-1][0]) for part in parts if part]
+                assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+                edges = {k for span in spans for k in span}
+                dropped_at_edge += len(spans) > 1 and any(
+                    k in edges for k in drop
+                )
+                if aL is not None:
+                    last_plain = math.floor(aL * L)
+                    stabilized_at_edge += any(
+                        a[1] <= last_plain < b[0]
+                        for a, b in zip(spans, spans[1:])
+                    )
+        assert dropped_at_edge > 0
+        assert stabilized_at_edge > 0
+
+    def test_memory_is_bounded_by_the_window(self):
+        """Iterating the scan without keeping its output peaks at about
+        one window's dict, whatever the request: the plan of
+        (5,3,4000,-4000) has 157,878 candidates, four times
+        (5,3,1000,-1000)'s, and one dict of them all peaked at about
+        four times as high."""
+        peaks = []
+        for D in (1000, 4000):
+            args = scan_inputs(TripleType(5, 3, D, -D))
+            tracemalloc.start()
+            try:
+                for _ in walls_module._grouped(*args, zip):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestIsCritical:
