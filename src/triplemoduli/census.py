@@ -12,8 +12,10 @@ a < p, b < q, not both negative, inside the Toledo band
 |aq - bp| <= (p + q) min(p, q)(g - 1). Each class meets it exactly once:
 the largest translate keeping a < p and b < q has one coordinate
 nonnegative, and the next one down has neither. This module walks the
-region column by column, reading each column's b-interval off the band,
-canonicalizes a pair by that floor-division shift, partitions classes by
+region column by column, reading each column's b-interval off the band
+and building the column in one map; the line index t = (aq - bp)/k is
+found once at the top of a column and falls by p/k per point down it.
+It canonicalizes a pair by that floor-division shift, partitions classes by
 the coprimality gcd(p + q, a + b) = 1 (which is class-invariant), and
 reports the lattice geometry of tau on classes: image step 2k/(p + q),
 kernel of size k generated by (p/k, q/k). enumerate_region pauses the
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError, _gc_paused, record, require_int
 from .rationals import Rational
@@ -139,8 +142,10 @@ def enumerate_region(p: int, q: int, g: int) -> CensusReport:
     """
     _check_pqg(p, q, g)
     k = math.gcd(p, q)
+    step = p // k
     bound = _bound(p, q, g)
-    points = []
+    points: list[ClassPair] = []
+    lines: dict[int, list[ClassPair]] = {}
     # Column a holds the b < q with |aq - bp| <= bound, and b >= 0 when
     # a < 0; the band leaves no b >= 0 left of a = -(bound // q).
     for a in range(-(bound // q), p):
@@ -148,23 +153,25 @@ def enumerate_region(p: int, q: int, g: int) -> CensusReport:
         if a < 0:
             b_lo = max(b_lo, 0)
         b_hi = min(q - 1, (a * q + bound) // p)
-        points.extend(
-            ClassPair(a, b, canonical=True) for b in range(b_lo, b_hi + 1)
+        column = list(
+            map(ClassPair, repeat(a), range(b_lo, b_hi + 1), repeat(True))
         )
+        points += column
+        # Down the column the line index falls by p/k per point.
+        top = a * q - b_lo * p
+        t_top, rem = divmod(top, k)
+        if rem:
+            raise AssertionError(
+                "line index defect: qa - bp = %d not divisible by %d"
+                % (top, k)
+            )
+        ts = range(t_top, t_top - step * len(column), -step)
+        for t, cp in zip(ts, column):
+            lines.setdefault(t, []).append(cp)
     n = p + q
     coprime = tuple(
         cp for cp in points if math.gcd(n, cp.a + cp.b) == 1
     )
-    lines: dict[int, list[ClassPair]] = {}
-    for cp in points:
-        value = cp.a * q - cp.b * p
-        t, rem = divmod(value, k)
-        if rem:
-            raise AssertionError(
-                "line index defect: qa - bp = %d not divisible by %d"
-                % (value, k)
-            )
-        lines.setdefault(t, []).append(cp)
     frozen_lines = {
         t: tuple(group) for t, group in sorted(lines.items())
     }

@@ -11,14 +11,19 @@ scan plan is the one dict over every candidate it was before it went
 one key window at a time. The census region is
 found by testing every cell of a grid against the two half-open strips,
 and a canonical representative by searching a window of translates,
-rather than by the closed-form column walk and floor-division shift.
+rather than by the closed-form column walk and floor-division shift;
+the census report (points, coprime points and lines) is also built as
+it first was, a record and a ``divmod`` per point, rather than a column
+per ``map`` with the line index stepped down it.
 The CLI report is built the way the CLI first built it, in three steps
 (a dict per ``Wall`` of the public ``enumerate_walls`` and per
 ``Chamber`` of the public ``chambers``, ``jsonable`` over the whole
 tree, then ``json.dumps`` or a renderer of the converted tree), rather
 than by one streaming writer over the blocks of tuples the handlers
 mark. The classifier is the ``if`` chain it was first written as,
-one branch per case, rather than the ordered table of cases. The Higgs
+one branch per case with ``Fraction`` Toledo values and two fresh
+``SubspaceVerdict`` records, rather than the ordered table of cases on
+integers with shared subspace verdicts. The Higgs
 bridge (the admissible alpha range, the Toledo invariant, the minima
 triple and the placement of 2g - 2 against its range) is the
 ``Fraction`` arithmetic it was first written in: slopes subtracted,
@@ -40,7 +45,7 @@ from dataclasses import MISSING, field, fields, is_dataclass, make_dataclass
 from fractions import Fraction as F
 from itertools import repeat
 
-from triplemoduli.census import enumerate_region
+from triplemoduli.census import CensusReport, ClassPair, enumerate_region
 from triplemoduli.classify import (
     NO,
     TAG_COPRIME,
@@ -241,6 +246,47 @@ def oracle_region(p, q, g):
         for b in range(-bound, q + 1)
         if oracle_member(p, q, g, a, b)
     ]
+
+
+def reference_region(p, q, g):
+    """enumerate_region as it was before it built each column in one
+    ``map`` and stepped the line index down the column: a ``ClassPair``
+    per point from a generator, and one ``divmod`` of qa - bp per point
+    for its line. It shares the column walk with the library, so it
+    checks the column building and the line stepping, not the walk
+    (``oracle_region`` checks that)."""
+    k = math.gcd(p, q)
+    bound = (p + q) * min(p, q) * (g - 1)
+    points = []
+    for a in range(-(bound // q), p):
+        b_lo = -((bound - a * q) // p)
+        if a < 0:
+            b_lo = max(b_lo, 0)
+        b_hi = min(q - 1, (a * q + bound) // p)
+        points.extend(
+            ClassPair(a, b, canonical=True) for b in range(b_lo, b_hi + 1)
+        )
+    n = p + q
+    coprime = tuple(cp for cp in points if math.gcd(n, cp.a + cp.b) == 1)
+    lines = {}
+    for cp in points:
+        value = cp.a * q - cp.b * p
+        t, rem = divmod(value, k)
+        if rem:
+            raise AssertionError(
+                "line index defect: qa - bp = %d not divisible by %d"
+                % (value, k)
+            )
+        lines.setdefault(t, []).append(cp)
+    return CensusReport(
+        p=p,
+        q=q,
+        g=g,
+        count=len(points),
+        points=tuple(points),
+        coprime_points=coprime,
+        lines={t: tuple(group) for t, group in sorted(lines.items())},
+    )
 
 
 def oracle_canonical(p, q, g, a, b):

@@ -18,7 +18,12 @@ from triplemoduli import (
     tau_quotient_facts,
 )
 
-from oracles import oracle_canonical, oracle_member, oracle_region
+from oracles import (
+    oracle_canonical,
+    oracle_member,
+    oracle_region,
+    reference_region,
+)
 
 pq = st.integers(min_value=1, max_value=4)
 genera = st.integers(min_value=2, max_value=3)
@@ -223,3 +228,39 @@ class TestAgainstOracle:
 
     def test_large_census_runs_in_closed_form(self):
         assert enumerate_region(30, 30, 30).count == 104430
+
+
+class TestReportAgainstReference:
+    """enumerate_region gives the report of the per-point builder it
+    replaced. Comparing ``repr`` checks points, coprime_points and
+    lines with their key order and the order inside every tuple."""
+
+    def check(self, p, q, g):
+        assert repr(enumerate_region(p, q, g)) == repr(
+            reference_region(p, q, g)
+        ), (p, q, g)
+
+    def test_criterion_07_box(self):
+        for p in range(1, 8):
+            for q in range(1, 9 - p):
+                for g in (2, 3, 4):
+                    self.check(p, q, g)
+
+    # Toledo bounds (p + q) min(p, q) (g - 1) near 250 and 400, the
+    # largest rungs of the upq-census workload, with gcd(p, q) from 1
+    # to 10.
+    @pytest.mark.parametrize(
+        "p, q, g",
+        [
+            (2, 3, 26),
+            (3, 9, 8),
+            (5, 5, 6),
+            (9, 3, 8),
+            (5, 3, 18),
+            (4, 6, 11),
+            (10, 10, 3),
+            (6, 3, 16),
+        ],
+    )
+    def test_census_workload_sizes(self, p, q, g):
+        self.check(p, q, g)

@@ -1,14 +1,18 @@
 """Case analysis verdicts: coverage, determinacy, invariance, citations."""
 
+import copy
 import itertools
+import pickle
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_classify
 from triplemoduli import (
     HiggsType,
+    SubspaceVerdict,
     classify,
     enumerate_region,
     expected_dim,
@@ -101,6 +105,15 @@ class TestFrozenVerdicts:
             v.citations["full_space_connected"]
             == "equal-rank-window-connectedness"
         )
+
+    def test_equal_rank_window_edge_stays_unknown(self):
+        # non-coprime, p = q, |tau| = (p-1)(2g-2): the window is open
+        v = classify(HiggsType(3, 3, 4, 0, 2))
+        assert v.case == "interior-toledo"
+        assert not v.coprime
+        assert v.tau == (3 - 1) * (2 * 2 - 2)
+        assert v.full_space_connected == "unknown"
+        assert "full_space_connected" not in v.citations
 
     def test_interior_without_any_criterion_stays_unknown(self):
         v = classify(HiggsType(2, 3, 1, 4, 2))
@@ -266,3 +279,86 @@ class TestCaseTableAgainstOracle:
 
     def test_grid(self):
         assert self.check(grid_types()) == 67500
+
+
+class TestEqualRankWindowEdge:
+    """For p = q, tau = a - b, and the window (p-1)(2g-2) < |tau| is
+    tested in integers as (p-1)(2g-2)(p+q) < |2(qa - pb)|."""
+
+    @given(
+        st.integers(1, 6),
+        st.integers(2, 5),
+        st.sampled_from((-1, 0, 1)),
+        st.sampled_from((-1, 1)),
+        st.integers(-30, 30),
+    )
+    @settings(max_examples=300)
+    def test_types_beside_the_edge_match_the_oracle(
+        self, p, g, offset, sign, b
+    ):
+        edge = (p - 1) * (2 * g - 2)
+        H = HiggsType(p, p, b + sign * (edge + offset), b, g)
+        assert abs(toledo(H).tau) == abs(edge + offset)
+        v, w = classify(H), oracle_classify(H)
+        assert repr(v) == repr(w)
+        assert list(v.citations.items()) == list(w.citations.items())
+
+
+# One type per case: out of range, zero Toledo, interior in the
+# equal-rank window, interior coprime, maximal with equal ranks, rigid.
+ONE_PER_CASE = (
+    HiggsType(1, 1, 5, 0, 2),
+    HiggsType(1, 1, 1, 1, 2),
+    HiggsType(3, 3, 4, -1, 2),
+    HiggsType(2, 3, 1, 1, 2),
+    HiggsType(1, 1, 2, 0, 2),
+    HiggsType(1, 2, 2, 1, 2),
+)
+
+
+class TestSharedValues:
+    """Verdicts share their r_gamma and r_pu records but never a
+    citations dict."""
+
+    def test_mutated_citations_leave_the_next_verdict_alone(self):
+        for H in ONE_PER_CASE:
+            first = classify(H)
+            items = list(first.citations.items())
+            first.citations["full_space_connected"] = "tampered"
+            first.citations.pop("r_gamma")
+            first.citations["extra"] = "tampered"
+            again = classify(H)
+            assert again.citations is not first.citations
+            assert list(again.citations.items()) == items, H
+            assert repr(again) == repr(oracle_classify(H)), H
+
+    def test_shared_subspace_verdicts_equal_fresh_ones(self):
+        for H in ONE_PER_CASE:
+            v = classify(H)
+            assert v.r_pu is classify(H).r_pu
+            for shared in (v.r_gamma, v.r_pu):
+                fresh = SubspaceVerdict(
+                    shared.nonempty,
+                    shared.connected,
+                    shared.stable_nonempty,
+                    shared.closure_of_stable_connected,
+                    shared.smooth_of_expected_dim,
+                )
+                assert shared == fresh and repr(shared) == repr(fresh)
+                assert hash(shared) == hash(fresh)
+                for clone in (
+                    pickle.loads(pickle.dumps(shared)),
+                    copy.copy(shared),
+                    copy.deepcopy(shared),
+                ):
+                    assert clone == fresh and hash(clone) == hash(fresh)
+            assert pickle.loads(pickle.dumps(v)) == v
+            assert copy.deepcopy(v) == v
+
+    def test_shared_subspace_verdicts_refuse_assignment(self):
+        from dataclasses import FrozenInstanceError
+
+        v = classify(ONE_PER_CASE[2])
+        with pytest.raises(FrozenInstanceError):
+            v.r_gamma.connected = "no"
+        assert classify(ONE_PER_CASE[2]).r_gamma.connected == "yes"
