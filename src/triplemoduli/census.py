@@ -11,20 +11,24 @@ The distinguished representatives form the fundamental region
 a < p, b < q, not both negative, inside the Toledo band
 |aq - bp| <= (p + q) min(p, q)(g - 1). Each class meets it exactly once:
 the largest translate keeping a < p and b < q has one coordinate
-nonnegative, and the next one down has neither. This module walks the
-region column by column, reading each column's b-interval off the band
-and building the column in one map; the line index t = (aq - bp)/k is
-found once at the top of a column and falls by p/k per point down it.
-It canonicalizes a pair by that floor-division shift, partitions classes by
-the coprimality gcd(p + q, a + b) = 1 (which is class-invariant), and
+nonnegative, and the next one down has neither. One column walk
+(_columns) reads each column's b-interval off the band, and both
+builders make a column in one map. enumerate_region finds the line
+index t = (aq - bp)/k once at the top of a column and steps it down by
+p/k per point; coprime_partition builds the points alone, with no
+report and no lines. Both split the points by the coprimality
+gcd(p + q, a + b) = 1 (which is class-invariant) in one pass (_split).
+The module also canonicalizes a pair by that floor-division shift and
 reports the lattice geometry of tau on classes: image step 2k/(p + q),
-kernel of size k generated by (p/k, q/k). enumerate_region pauses the
-cyclic collector while it builds (errors._gc_paused): classes hold no cycle.
+kernel of size k generated by (p/k, q/k). Both builders pause the
+cyclic collector while they run (errors._gc_paused): classes hold no
+cycle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from itertools import repeat
 
@@ -132,6 +136,34 @@ def canonicalize(p: int, q: int, g: int, a: int, b: int) -> ClassPair:
     return ClassPair(a + l * p, b + l * q, canonical=True)
 
 
+def _columns(p: int, q: int, g: int):
+    """The region's columns (a, b_lo, b_hi), a ascending.
+
+    Column a holds the b in [b_lo, b_hi]: the b < q with
+    |aq - bp| <= bound, and b >= 0 when a < 0. The band leaves no
+    b >= 0 left of a = -(bound // q)."""
+    bound = _bound(p, q, g)
+    for a in range(-(bound // q), p):
+        b_lo = -((bound - a * q) // p)
+        if a < 0:
+            b_lo = max(b_lo, 0)
+        yield a, b_lo, min(q - 1, (a * q + bound) // p)
+
+
+def _split(
+    n: int, points: list[ClassPair]
+) -> tuple[tuple[ClassPair, ...], tuple[ClassPair, ...]]:
+    """(coprime, non_coprime): the points with gcd(n, a + b) = 1 and the
+    rest, each in point order. The test reads a table of the units
+    mod n, as gcd(n, s) = gcd(n, s mod n)."""
+    unit = [math.gcd(n, r) == 1 for r in range(n)]
+    coprime: list[ClassPair] = []
+    non_coprime: list[ClassPair] = []
+    for cp in points:
+        (coprime if unit[(cp.a + cp.b) % n] else non_coprime).append(cp)
+    return tuple(coprime), tuple(non_coprime)
+
+
 @_gc_paused
 def enumerate_region(p: int, q: int, g: int) -> CensusReport:
     """Enumerate every class representative, grouped into tau-lines.
@@ -143,16 +175,9 @@ def enumerate_region(p: int, q: int, g: int) -> CensusReport:
     _check_pqg(p, q, g)
     k = math.gcd(p, q)
     step = p // k
-    bound = _bound(p, q, g)
     points: list[ClassPair] = []
-    lines: dict[int, list[ClassPair]] = {}
-    # Column a holds the b < q with |aq - bp| <= bound, and b >= 0 when
-    # a < 0; the band leaves no b >= 0 left of a = -(bound // q).
-    for a in range(-(bound // q), p):
-        b_lo = -((bound - a * q) // p)
-        if a < 0:
-            b_lo = max(b_lo, 0)
-        b_hi = min(q - 1, (a * q + bound) // p)
+    lines: defaultdict[int, list[ClassPair]] = defaultdict(list)
+    for a, b_lo, b_hi in _columns(p, q, g):
         column = list(
             map(ClassPair, repeat(a), range(b_lo, b_hi + 1), repeat(True))
         )
@@ -167,11 +192,7 @@ def enumerate_region(p: int, q: int, g: int) -> CensusReport:
             )
         ts = range(t_top, t_top - step * len(column), -step)
         for t, cp in zip(ts, column):
-            lines.setdefault(t, []).append(cp)
-    n = p + q
-    coprime = tuple(
-        cp for cp in points if math.gcd(n, cp.a + cp.b) == 1
-    )
+            lines[t].append(cp)
     frozen_lines = {
         t: tuple(group) for t, group in sorted(lines.items())
     }
@@ -181,7 +202,7 @@ def enumerate_region(p: int, q: int, g: int) -> CensusReport:
         g=g,
         count=len(points),
         points=tuple(points),
-        coprime_points=coprime,
+        coprime_points=_split(p + q, points)[0],
         lines=frozen_lines,
     )
 
@@ -204,21 +225,24 @@ def tau_quotient_facts(p: int, q: int) -> TauQuotientFacts:
     )
 
 
+@_gc_paused
 def coprime_partition(p: int, q: int, g: int) -> CoprimePartition:
     """Split the census by gcd(p+q, a+b) = 1.
 
     The test depends only on the class since a + b shifts by multiples
     of p + q along a class. Both parts are always inhabited: a + b can
     realize both a unit and a non-unit residue within the Toledo bound.
+    Each part lists its classes in enumerate_region's point order.
     """
-    report = enumerate_region(p, q, g)
+    _check_pqg(p, q, g)
+    points: list[ClassPair] = []
+    for a, b_lo, b_hi in _columns(p, q, g):
+        points += map(
+            ClassPair, repeat(a), range(b_lo, b_hi + 1), repeat(True)
+        )
+    coprime, non_coprime = _split(p + q, points)
     return CoprimePartition(
-        coprime=report.coprime_points,
-        non_coprime=tuple(
-            cp for cp in report.points
-            if math.gcd(p + q, cp.a + cp.b) != 1
-        ),
-        both_nonempty=(
-            0 < len(report.coprime_points) < report.count
-        ),
+        coprime=coprime,
+        non_coprime=non_coprime,
+        both_nonempty=len(coprime) > 0 and len(non_coprime) > 0,
     )

@@ -104,6 +104,17 @@ def record(cls):
     FrozenInstanceError on assignment or deletion, as plain frozen
     dataclasses do.
 
+    A class with a __post_init__ (``TripleType``, ``HiggsType`` and
+    ``HodgeChain``, which check their fields) also gets, from the same
+    ``exec``, a private static constructor ``_unchecked`` with the
+    parameters of ``__init__``: it stores the slots and skips
+    __post_init__, with its checks and conversions, at about 40% of the
+    checked cost. Use it only where every field derives from a record
+    that was checked already, and name at the call site the check that
+    makes it safe (``triples.dual``, the minima triple of
+    ``higgs._minima_triple``); any value a caller supplies goes through
+    the class, which checks.
+
     Nothing here imports dataclasses, which loads inspect, ast and dis
     and takes longer to import than a small CLI request takes to
     compute: only a raised FrozenInstanceError and the first
@@ -121,10 +132,18 @@ def record(cls):
     params = ", ".join(
         n + "=_defaults[%r]" % n if n in defaults else n for n in names
     )
-    src = [
-        "def __init__(self, %s):" % params,
-        each(" _set_%(n)s(self, %(n)s)", "\n"),
-        " self.__post_init__()" if "__post_init__" in ns else "",
+    checked = "__post_init__" in ns
+    stores = each(" _set_%(n)s(self, %(n)s)", "\n")
+    src = ["def __init__(self, %s):" % params, stores]
+    if checked:
+        src += [
+            " self.__post_init__()",
+            "def _unchecked(%s):" % params,
+            " self = _new(_cls)",
+            stores,
+            " return self",
+        ]
+    src += [
         "def __repr__(self):",
         ' return f"{type(self).__qualname__}(%s)"' % each("%(n)s={self.%(n)s!r}"),
         "def __eq__(self, other):",
@@ -144,12 +163,18 @@ def record(cls):
             "def __replace__(self, /, **changes):",
             " return self.__class__(**{%s, **changes})" % each("%(n)r: self.%(n)s"),
         ]
-    scope = {"__name__": cls.__module__, "_defaults": defaults}
+    scope = {
+        "__name__": cls.__module__,
+        "_defaults": defaults,
+        "_new": object.__new__,
+    }
     methods = {}
     exec("\n".join(src), scope, methods)
     for name, method in methods.items():
         method.__qualname__ = cls.__qualname__ + "." + name
     methods["__init__"].__annotations__ = {**cls.__annotations__, "return": None}
+    if checked:
+        methods["_unchecked"] = staticmethod(methods["_unchecked"])
     ns.update(
         methods,
         __slots__=names,
@@ -163,6 +188,7 @@ def record(cls):
     # the slot descriptors exist only now; the methods look them up by name
     for name in names:
         scope["_set_" + name] = getattr(new, name).__set__
+    scope["_cls"] = new
     return new
 
 

@@ -186,9 +186,11 @@ def _minima_triple(H: HiggsType) -> tuple[str, TripleType]:
     """Vanishing pattern and minima triple type (see minima_triple_type)."""
     two = 2 * H.g - 2
     pattern = vanishing_pattern(H)
+    # unchecked: HiggsType.__post_init__ has checked p, q >= 1 and that
+    # a, b and g are ints, so the ranks are positive and the degrees ints
     if pattern == "beta_zero":
-        return pattern, TripleType(H.q, H.p, H.b + H.q * two, H.a)
-    return pattern, TripleType(H.p, H.q, H.a + H.p * two, H.b)
+        return pattern, TripleType._unchecked(H.q, H.p, H.b + H.q * two, H.a)
+    return pattern, TripleType._unchecked(H.p, H.q, H.a + H.p * two, H.b)
 
 
 def minima_triple_type(H: HiggsType) -> MinimaRealization:
@@ -313,11 +315,13 @@ def rigidity(H: HiggsType) -> RigidityReport:
         )
     m = min(H.p, H.q)
     shift = (1 if num > 0 else -1) * m * (2 * H.g - 2)
+    # unchecked: m = min(p, q) >= 1, and H's checks made the degrees and
+    # g ints with g >= 2
     if H.p < H.q:
-        f1 = HiggsType(m, m, H.a, H.a - shift, H.g)
+        f1 = HiggsType._unchecked(m, m, H.a, H.a - shift, H.g)
         f2 = (H.q - m, H.b - f1.b)
     else:
-        f1 = HiggsType(m, m, H.b + shift, H.b, H.g)
+        f1 = HiggsType._unchecked(m, m, H.b + shift, H.b, H.g)
         f2 = (H.p - m, H.a - f1.a)
     dim_sum = expected_dim(f1) + (1 + f2[0] ** 2 * (H.g - 1))
     closed = 2 + (4 * m * m + (H.p - H.q) ** 2) * (H.g - 1)

@@ -264,7 +264,8 @@ def alpha_range(T: TripleType) -> AlphaInterval:
 
 def dual(T: TripleType) -> TripleType:
     """Dual type (n2, n1, -d2, -d1); an involution preserving mu1 - mu2."""
-    return TripleType(T.n2, T.n1, -T.d2, -T.d1)
+    # unchecked: T's checks hold for the swapped ranks and negated degrees
+    return TripleType._unchecked(T.n2, T.n1, -T.d2, -T.d1)
 
 
 def _admissible_rank_pairs(T: TripleType):

@@ -556,7 +556,9 @@ def flip_dims(T: TripleType, Tp: TripleType, g: int) -> FlipDims:
             "inside the admissible range (%s, %s)"
             % (alpha_c, rng.lo, "inf" if rng.hi is None else rng.hi)
         )
-    Tpp = TripleType(n1pp, n2pp, T.d1 - Tp.d1, T.d2 - Tp.d2)
+    # unchecked: (C1) above made the ranks nonnegative and not both
+    # zero, and the checks of T and Tp made the degrees ints
+    Tpp = TripleType._unchecked(n1pp, n2pp, T.d1 - Tp.d1, T.d2 - Tp.d2)
     chi_sub = chi(Tp, Tp, g)
     chi_quot = chi(Tpp, Tpp, g)
     cross = chi(Tpp, Tp, g)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triplemoduli import census as census_module
 from triplemoduli import (
+    CoprimePartition,
     DomainError,
     canonicalize,
     coprime_partition,
@@ -230,6 +232,20 @@ class TestAgainstOracle:
         assert enumerate_region(30, 30, 30).count == 104430
 
 
+# Toledo bounds (p + q) min(p, q) (g - 1) near 250 and 400, the largest
+# rungs of the upq-census workload, with gcd(p, q) from 1 to 10.
+WORKLOAD_SIZES = [
+    (2, 3, 26),
+    (3, 9, 8),
+    (5, 5, 6),
+    (9, 3, 8),
+    (5, 3, 18),
+    (4, 6, 11),
+    (10, 10, 3),
+    (6, 3, 16),
+]
+
+
 class TestReportAgainstReference:
     """enumerate_region gives the report of the per-point builder it
     replaced. Comparing ``repr`` checks points, coprime_points and
@@ -246,21 +262,51 @@ class TestReportAgainstReference:
                 for g in (2, 3, 4):
                     self.check(p, q, g)
 
-    # Toledo bounds (p + q) min(p, q) (g - 1) near 250 and 400, the
-    # largest rungs of the upq-census workload, with gcd(p, q) from 1
-    # to 10.
-    @pytest.mark.parametrize(
-        "p, q, g",
-        [
-            (2, 3, 26),
-            (3, 9, 8),
-            (5, 5, 6),
-            (9, 3, 8),
-            (5, 3, 18),
-            (4, 6, 11),
-            (10, 10, 3),
-            (6, 3, 16),
-        ],
-    )
+    @pytest.mark.parametrize("p, q, g", WORKLOAD_SIZES)
     def test_census_workload_sizes(self, p, q, g):
         self.check(p, q, g)
+
+
+class TestPartitionAgainstReference:
+    """coprime_partition, which builds its points without the census
+    report, splits the reference census: its coprime_points, then the
+    rest of its points. Comparing ``repr`` checks both tuples with the
+    order inside them."""
+
+    def check(self, p, q, g):
+        ref = reference_region(p, q, g)
+        rest = tuple(
+            cp for cp in ref.points if math.gcd(p + q, cp.a + cp.b) != 1
+        )
+        expected = CoprimePartition(
+            coprime=ref.coprime_points,
+            non_coprime=rest,
+            both_nonempty=0 < len(ref.coprime_points) < ref.count,
+        )
+        assert repr(coprime_partition(p, q, g)) == repr(expected), (p, q, g)
+
+    def test_criterion_07_box(self):
+        for p in range(1, 8):
+            for q in range(1, 9 - p):
+                for g in (2, 3, 4):
+                    self.check(p, q, g)
+
+    @pytest.mark.parametrize("p, q, g", WORKLOAD_SIZES)
+    def test_census_workload_sizes(self, p, q, g):
+        self.check(p, q, g)
+
+    @pytest.mark.parametrize(
+        "name", ["CensusReport", "defaultdict"], ids=["report", "lines"]
+    )
+    def test_the_partition_builds_no_report_and_no_lines(
+        self, monkeypatch, name
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called census.%s" % name)
+
+        monkeypatch.setattr(census_module, name, refuse)
+        # the stub is live: the census itself needs it
+        with pytest.raises(AssertionError, match=name):
+            enumerate_region(5, 3, 18)
+        part = coprime_partition(5, 3, 18)
+        assert len(part.coprime) + len(part.non_coprime) == 2 * 8 * 3 * 17 + 1

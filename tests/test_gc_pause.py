@@ -1,7 +1,7 @@
 """The bulk builders pause the cyclic collector and restore its state.
 
-enumerate_walls, chambers, _wall_rows and enumerate_region build
-request-sized results that hold no reference cycle, so they run with
+enumerate_walls, chambers, _wall_rows, enumerate_region and
+coprime_partition build request-sized results that hold no reference cycle, so they run with
 the collector off (errors._gc_paused). These tests pin the contract:
 the state found is the state left, on return, on a DomainError and on
 a BaseException from inside; no collection starts while a builder runs;
@@ -17,7 +17,7 @@ import pytest
 from triplemoduli import DomainError, TripleType
 from triplemoduli import census as census_module
 from triplemoduli import walls as walls_module
-from triplemoduli.census import enumerate_region
+from triplemoduli.census import coprime_partition, enumerate_region
 from triplemoduli.walls import _wall_rows, chambers, enumerate_walls
 
 BIG = TripleType(5, 3, 1000, -1000)
@@ -28,6 +28,7 @@ BUILDERS = {
     "chambers": (chambers, (TripleType(2, 1, 4, 1), 2)),
     "_wall_rows": (_wall_rows, (TripleType(2, 1, 4, 1),)),
     "enumerate_region": (enumerate_region, (2, 3, 2)),
+    "coprime_partition": (coprime_partition, (2, 3, 2)),
 }
 
 
@@ -58,8 +59,15 @@ def test_the_state_found_is_the_state_left(name, enabled):
         lambda: _wall_rows(TripleType(2, 2, 1, 0)),
         lambda: chambers(TripleType(1, 1, 0, 1), 2),
         lambda: enumerate_region(0, 1, 2),
+        lambda: coprime_partition(1, 1, 1),
     ],
-    ids=["enumerate_walls", "_wall_rows", "chambers", "enumerate_region"],
+    ids=[
+        "enumerate_walls",
+        "_wall_rows",
+        "chambers",
+        "enumerate_region",
+        "coprime_partition",
+    ],
 )
 def test_the_collector_is_back_on_after_a_domain_error(call):
     gc.enable()
@@ -75,6 +83,7 @@ def test_the_collector_is_back_on_after_a_domain_error(call):
         ("chambers", walls_module, "Wall"),
         ("_wall_rows", walls_module, "_grouped"),
         ("enumerate_region", census_module, "ClassPair"),
+        ("coprime_partition", census_module, "ClassPair"),
     ],
 )
 def test_the_collector_is_back_on_after_an_interrupt(
@@ -104,6 +113,8 @@ SIGNATURES = {
     "include_endpoints: 'bool' = False, g: 'Optional[int]' = None) "
     "-> 'list[tuple[int, int, list[tuple[int, int, int]], bool]]'",
     "enumerate_region": "(p: 'int', q: 'int', g: 'int') -> 'CensusReport'",
+    "coprime_partition": "(p: 'int', q: 'int', g: 'int') "
+    "-> 'CoprimePartition'",
 }
 
 FIRST_DOC_LINES = {
@@ -119,6 +130,7 @@ FIRST_DOC_LINES = {
     "enumerate_region": (
         "Enumerate every class representative, grouped into tau-lines."
     ),
+    "coprime_partition": "Split the census by gcd(p+q, a+b) = 1.",
 }
 
 
@@ -141,8 +153,15 @@ BUILDER_FILES = {walls_module.__file__, census_module.__file__}
         lambda: chambers(BIG, 2),
         lambda: _wall_rows(BIG),
         lambda: enumerate_region(12, 12, 30),
+        lambda: coprime_partition(12, 12, 30),
     ],
-    ids=["enumerate_walls", "chambers", "_wall_rows", "enumerate_region"],
+    ids=[
+        "enumerate_walls",
+        "chambers",
+        "_wall_rows",
+        "enumerate_region",
+        "coprime_partition",
+    ],
 )
 def test_no_collection_starts_while_a_builder_runs(call):
     """A gc.callbacks hook records every collection that starts with a
