@@ -15,8 +15,8 @@ reached through dict entries, never through a list item.
 Imports are deferred: each subcommand's handler imports the math
 modules it calls when it runs, and a usage error imports none. Most of
 a small request is interpreter start-up and imports, and defining the
-result records is about half the cost of importing a math module, so a
-request defines only the records it uses; no request imports
+result records is about a third of the cost of importing a math module,
+so a request defines only the records it uses; no request imports
 dataclasses (``errors.record`` builds the records without it). Handlers
 mark the lists of tuples that grow with a request (walls, census rows)
 as blocks; ``walls`` takes its walls straight from the integer wall
@@ -198,6 +198,11 @@ def _cmd_chambers(args) -> tuple[dict, dict, list]:
         warnings.append(
             "2g-2 sits exactly at alpha_M: the Higgs comparison window "
             "degenerates for this type"
+        )
+    if args.cutoff is not None and T.n1 != T.n2:
+        warnings.append(
+            "--cutoff is not used when n1 != n2: the range ends at "
+            "alpha_M = %s" % rep.top
         )
     return outputs, {}, warnings
 

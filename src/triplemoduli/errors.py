@@ -1,6 +1,6 @@
-"""Error types, input checks, the record decorator and the cyclic
-collector pause (``_gc_paused``, for the bulk builders of walls.py and
-census.py, whose results hold no cycle) shared across the library."""
+"""Error types, input checks, the record decorator with the base every
+record shares, and the cyclic collector pause (``_gc_paused``, for the
+bulk builders of walls.py and census.py, whose results hold no cycle)."""
 
 from __future__ import annotations
 
@@ -44,18 +44,38 @@ def require_rational(name: str, value) -> None:
         )
 
 
-# Every record's __setattr__ and __delattr__: dataclasses is imported
-# only to raise its FrozenInstanceError.
-def _frozen_setattr(self, name, value):
-    from dataclasses import FrozenInstanceError
+class _Record:
+    """The methods every record shares, which run rarely: each reads
+    the field names from ``__match_args__``, and the pickled state is
+    a list, as a slotted dataclass's is."""
 
-    raise FrozenInstanceError("cannot assign to field %r" % name)
+    __slots__ = ()
 
+    def __repr__(self):
+        fields = ["%s=%r" % (n, getattr(self, n)) for n in self.__match_args__]
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
 
-def _frozen_delattr(self, name):
-    from dataclasses import FrozenInstanceError
+    def __getstate__(self):
+        return [getattr(self, n) for n in self.__match_args__]
 
-    raise FrozenInstanceError("cannot delete field %r" % name)
+    def __setstate__(self, state):
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
+
+    if sys.version_info >= (3, 13):
+        # copy.replace goes through __init__, so __post_init__ still checks
+        def __replace__(self, /, **changes):
+            fields = zip(self.__match_args__, self.__getstate__())
+            return self.__class__(**dict(fields, **changes))
+
+    # dataclasses is imported only to raise its FrozenInstanceError
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot delete field %r" % name)
 
 
 class _TwinFields:
@@ -70,12 +90,10 @@ class _TwinFields:
         self.defaults = defaults
 
     def __get__(self, obj, cls):
-        from dataclasses import field, make_dataclass
+        from dataclasses import MISSING, field, make_dataclass
 
         spec = [
-            (name, kind, field(default=self.defaults[name]))
-            if name in self.defaults
-            else (name, kind)
+            (name, kind, field(default=self.defaults.get(name, MISSING)))
             for name, kind in cls.__annotations__.items()
         ]
         twin = make_dataclass(cls.__name__, spec, frozen=True)
@@ -84,50 +102,47 @@ class _TwinFields:
 
 
 def record(cls):
-    """Make cls a frozen, slotted record: the form of every result record
-    in the library.
+    """Make cls, which derives from object only, a frozen, slotted
+    record: the form of every result record in the library.
 
     Every annotation of cls is a field, in declaration order; a class
     attribute of the same name is its default (``Wall.stabilized``).
-    The record is a new class, made by one ``type()`` call, with
-    ``__slots__`` and ``__match_args__`` of the field names, so it has
-    no __dict__ and takes no weak references. One ``exec`` generates its
-    ``__init__``, ``__repr__``, ``__eq__``, ``__hash__``,
-    ``__getstate__`` and ``__setstate__`` (and, from Python 3.13 on,
-    ``__replace__`` for ``copy.replace``). ``__init__`` stores each
-    field through its slot descriptor, not a frozen dataclass's
-    ``object.__setattr__`` per field, which about halves the cost of
-    building a small record; it then calls __post_init__ when the class
-    defines one, and its parameter names, order, defaults and
-    annotations are those of the dataclass __init__. Records compare,
-    hash, print, copy, pickle and ``replace``, and raise
+    The record is a new class, made by one ``type()`` call on the base
+    ``_Record``, with ``__slots__`` and ``__match_args__`` of the field
+    names, so it has no __dict__ and takes no weak references. Records
+    compare, hash, print, copy, pickle and ``replace``, and raise
     FrozenInstanceError on assignment or deletion, as plain frozen
     dataclasses do.
 
-    A class with a __post_init__ (``TripleType``, ``HiggsType`` and
-    ``HodgeChain``, which check their fields) also gets, from the same
-    ``exec``, a private static constructor ``_unchecked`` with the
-    parameters of ``__init__``: it stores the slots and skips
-    __post_init__, with its checks and conversions, at about 40% of the
-    checked cost. Use it only where every field derives from a record
-    that was checked already, and name at the call site the check that
-    makes it safe (``triples.dual``, the minima triple of
-    ``higgs._minima_triple``); any value a caller supplies goes through
-    the class, which checks.
+    Compiling is most of the cost of defining a record, so one ``exec``
+    per class generates only what runs per call: ``__eq__``, ``__hash__``
+    and ``__init__``, which stores each field through its slot
+    descriptor (about half the cost of a frozen dataclass's per-field
+    ``object.__setattr__``), then calls __post_init__ if cls has one;
+    its parameters and annotations are the dataclass __init__'s. What
+    runs rarely is written once, on ``_Record``: ``__repr__``,
+    ``__getstate__``, ``__setstate__``, the frozen ``__setattr__`` and
+    ``__delattr__`` and (from Python 3.13) ``__replace__``.
 
-    Nothing here imports dataclasses, which loads inspect, ast and dis
-    and takes longer to import than a small CLI request takes to
-    compute: only a raised FrozenInstanceError and the first
-    ``__dataclass_fields__`` lookup (``_TwinFields``) import it.
+    A class with a __post_init__ (``TripleType``, ``HiggsType`` and
+    ``HodgeChain``, which check their fields) also gets a private
+    static constructor ``_unchecked`` with the parameters of
+    ``__init__``: it stores the slots and skips __post_init__, with its
+    checks and conversions, at about 40% of the checked cost. Use it
+    only where every field derives from a record checked already, and
+    name at the call site the check that makes it safe (``triples.dual``,
+    ``higgs._minima_triple``); a caller's values go through the class.
+
+    Nothing here imports dataclasses (which loads inspect, ast and dis):
+    only a raised FrozenInstanceError and ``_TwinFields`` do.
     """
     names = tuple(cls.__annotations__)
-    ns = {
-        k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")
-    }
+    ns = dict(vars(cls))
+    del ns["__dict__"], ns["__weakref__"]
     defaults = {n: ns.pop(n) for n in names if n in ns}
 
     def each(form, sep=", "):
-        return sep.join(form % {"n": n, "i": i} for i, n in enumerate(names))
+        return sep.join(form % {"n": n} for n in names)
 
     params = ", ".join(
         n + "=_defaults[%r]" % n if n in defaults else n for n in names
@@ -136,38 +151,17 @@ def record(cls):
     stores = each(" _set_%(n)s(self, %(n)s)", "\n")
     src = ["def __init__(self, %s):" % params, stores]
     if checked:
-        src += [
-            " self.__post_init__()",
-            "def _unchecked(%s):" % params,
-            " self = _new(_cls)",
-            stores,
-            " return self",
-        ]
+        src += [" self.__post_init__()", "def _unchecked(%s):" % params]
+        src += [" self = _new(_cls)", stores, " return self"]
     src += [
-        "def __repr__(self):",
-        ' return f"{type(self).__qualname__}(%s)"' % each("%(n)s={self.%(n)s!r}"),
         "def __eq__(self, other):",
         " if self is other: return True",
         " if other.__class__ is not self.__class__: return NotImplemented",
         " return " + each("self.%(n)s == other.%(n)s", " and "),
         "def __hash__(self):",
         " return hash((%s,))" % each("self.%(n)s"),
-        "def __getstate__(self):",
-        " return [%s]" % each("self.%(n)s"),
-        "def __setstate__(self, state):",
-        each(" _set_%(n)s(self, state[%(i)d])", "\n"),
     ]
-    if sys.version_info >= (3, 13):
-        # copy.replace goes through __init__, so __post_init__ still checks
-        src += [
-            "def __replace__(self, /, **changes):",
-            " return self.__class__(**{%s, **changes})" % each("%(n)r: self.%(n)s"),
-        ]
-    scope = {
-        "__name__": cls.__module__,
-        "_defaults": defaults,
-        "_new": object.__new__,
-    }
+    scope = {"__name__": cls.__module__, "_defaults": defaults, "_new": object.__new__}
     methods = {}
     exec("\n".join(src), scope, methods)
     for name, method in methods.items():
@@ -180,11 +174,9 @@ def record(cls):
         __slots__=names,
         __match_args__=names,
         __qualname__=cls.__qualname__,
-        __setattr__=_frozen_setattr,
-        __delattr__=_frozen_delattr,
         __dataclass_fields__=_TwinFields(defaults),
     )
-    new = type(cls)(cls.__name__, cls.__bases__, ns)
+    new = type(cls)(cls.__name__, (_Record,), ns)
     # the slot descriptors exist only now; the methods look them up by name
     for name in names:
         scope["_set_" + name] = getattr(new, name).__set__

@@ -158,8 +158,10 @@ class FlipDims:
         dim_moduli = stilde_dim + minus_chi_cross_rev,
 
     with minus_chi_cross_rev = -chi(T',T''), and codim_in_moduli is defined
-    by that difference. ``guaranteed_codim`` = g-1 is the general lower
-    bound for genuine flip loci. ``side`` says which one-sided locus the
+    by that difference. ``guaranteed_codim`` = g-1 bounds it below only
+    on a genuine flip locus: T' and T'' alpha_c-semistable, and degree 0
+    on any piece of rank 0. ``flip_dims`` checks only (C1) and (C2), so
+    a split can report less. ``side`` says which one-sided locus the
     split can feed: "plus" when n2'/(n1'+n2') < n2''/(n1''+n2''), else
     "minus".
     """

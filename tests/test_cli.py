@@ -326,6 +326,26 @@ class TestChambersCommand:
         assert rep["outputs"]["marker_status"] == "at_alpha_M"
         assert any("alpha_M" in w for w in rep["warnings"])
 
+    def test_an_unused_cutoff_warns(self, capsys):
+        # for n1 != n2 the range ends at alpha_M = 4, whatever the cutoff
+        argv = (
+            "chambers", "--n1", "2", "--n2", "1", "--d1", "4", "--d2", "1",
+            "--g", "2",
+        )
+        plain = run_json(capsys, *argv)
+        rep = run_json(capsys, *argv, "--cutoff", "99")
+        assert rep["inputs"]["cutoff"] == 99
+        assert rep["outputs"] == plain["outputs"] and plain["warnings"] == []
+        assert rep["warnings"] == [
+            "--cutoff is not used when n1 != n2: the range ends at alpha_M = 4"
+        ]
+        # for n1 = n2 the cutoff ends the window, and nothing warns
+        rep = run_json(
+            capsys, "chambers", "--n1", "2", "--n2", "2", "--d1", "3",
+            "--d2", "0", "--g", "2", "--cutoff", "9",
+        )
+        assert rep["outputs"]["top"] == 9 and rep["warnings"] == []
+
 
 class TestHiggsCommand:
     def test_saturated_report(self, capsys):

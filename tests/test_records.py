@@ -24,7 +24,7 @@ from triplemoduli.census import (
     tau_quotient_facts,
 )
 from triplemoduli.classify import classify
-from triplemoduli.errors import DomainError
+from triplemoduli.errors import DomainError, _Record
 from triplemoduli.higgs import (
     HiggsType,
     minima_triple_type,
@@ -227,6 +227,25 @@ class TestRecordContract:
             assert copy.replace(a) == a
             moved = copy.replace(a, **dict(zip(names(cls), values(b))))
             assert type(moved) is cls and moved == b
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[c.__name__ for c in RECORDS])
+def test_only_the_per_call_methods_are_generated(cls):
+    """errors.record compiles per class only what runs per call; the
+    rarely run methods are the shared base's own functions."""
+    assert cls.__bases__ == (_Record,)
+    shared = ["__repr__", "__getstate__", "__setstate__"]
+    shared += ["__setattr__", "__delattr__"]
+    if sys.version_info >= (3, 13):
+        shared.append("__replace__")
+    for name in shared:
+        assert name not in vars(cls)
+        assert getattr(cls, name) is vars(_Record)[name]
+    own = ["__init__", "__eq__", "__hash__"]
+    if hasattr(cls, "_unchecked"):
+        own.append("_unchecked")
+    for name in own:
+        assert getattr(cls, name).__qualname__ == cls.__qualname__ + "." + name
 
 
 def test_wall_stabilized_defaults_to_false():

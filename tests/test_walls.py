@@ -652,6 +652,18 @@ class TestFlipDims:
         assert fd3.minus_chi_cross_rev == 0
         assert fd3.codim_in_moduli == 0
 
+    def test_the_codim_bound_needs_stable_pieces(self):
+        """flip_dims checks (C1) and (C2) only: this split meets both and
+        reports a codimension below guaranteed_codim, but its T' has the
+        one-point range {0}, so no alpha_c-stable object exists."""
+        Tp = TripleType(1, 2, 0, 0)
+        fd = flip_dims(TripleType(2, 2, 1, 0), Tp, 2)
+        assert fd.alpha_c == F(3, 2)
+        assert fd.fiber_nonempty and fd.fiber_dim == 1
+        assert fd.codim_in_moduli == 0 < fd.guaranteed_codim == 1
+        rng = alpha_range(Tp)
+        assert rng.single_point and rng.lo == 0 != fd.alpha_c
+
     def test_rank_violation_names_c1(self):
         with pytest.raises(DomainError, match=r"\(C1\)"):
             flip_dims(TripleType(2, 1, 4, 1), TripleType(3, 0, 1, 0), 2)
