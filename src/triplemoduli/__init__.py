@@ -13,7 +13,7 @@ Imports are deferred. ``import triplemoduli`` loads no submodule; each
 public name, and each submodule name such as ``triplemoduli.walls``,
 imports its submodule on first access (PEP 562). Defining the result
 records (``errors.record``, which needs no dataclasses import) is
-about a third of the cost of importing a math module, so a process,
+about two fifths of the cost of importing a math module, so a process,
 such as one CLI request, pays only for those it uses.
 """
 

@@ -95,14 +95,6 @@ def _bound(p: int, q: int, g: int) -> int:
     return (p + q) * min(p, q) * (g - 1)
 
 
-def _member(p: int, q: int, g: int, a: int, b: int) -> bool:
-    """Membership test in the distinguished fundamental region, without
-    input checks."""
-    if a >= p or b >= q or (a < 0 and b < 0):
-        return False
-    return abs(a * q - b * p) <= _bound(p, q, g)
-
-
 def omega_membership(p: int, q: int, g: int, a: int, b: int) -> bool:
     """Whether (a, b) is the distinguished representative of its class.
 
@@ -112,7 +104,9 @@ def omega_membership(p: int, q: int, g: int, a: int, b: int) -> bool:
     _check_pqg(p, q, g)
     require_int("a", a)
     require_int("b", b)
-    return _member(p, q, g, a, b)
+    if a >= p or b >= q or (a < 0 and b < 0):
+        return False
+    return abs(a * q - b * p) <= _bound(p, q, g)
 
 
 def canonicalize(p: int, q: int, g: int, a: int, b: int) -> ClassPair:

@@ -15,7 +15,7 @@ reached through dict entries, never through a list item.
 Imports are deferred: each subcommand's handler imports the math
 modules it calls when it runs, and a usage error imports none. Most of
 a small request is interpreter start-up and imports, and defining the
-result records is about a third of the cost of importing a math module,
+result records is about two fifths of the cost of importing a math module,
 so a request defines only the records it uses; no request imports
 dataclasses (``errors.record`` builds the records without it). Handlers
 mark the lists of tuples that grow with a request (walls, census rows)

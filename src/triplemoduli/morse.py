@@ -58,6 +58,7 @@ def uk_profile(C: HodgeChain, k: int) -> tuple[int, int]:
     rank = sum r_j r_i and degree = sum (r_j e_i - r_i e_j); weights
     beyond the chain (|k| > m - 1) give (0, 0).
     """
+    require_int("weight k", k)
     m = C.length
     rank = 0
     degree = 0

@@ -171,6 +171,7 @@ class FibrationDims:
 def slope(n: int, d: int) -> Rational:
     """Slope d/n of a bundle of rank n >= 1 and degree d."""
     require_int("rank", n, 1)
+    require_int("degree", d)
     return Fraction(d, n)
 
 

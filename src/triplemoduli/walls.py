@@ -184,6 +184,9 @@ def wall_alpha(T: TripleType, n1p: int, n2p: int, dsum: int) -> Rational:
     Requires 0 <= nip <= ni, (n1p, n2p) != (0, 0) and a non-proportional
     rank pair (n1p n2 != n1 n2p), else no single wall exists.
     """
+    require_int("n1p", n1p)
+    require_int("n2p", n2p)
+    require_int("dsum", dsum)
     if not (0 <= n1p <= T.n1 and 0 <= n2p <= T.n2):
         raise DomainError("witness ranks out of bounds")
     if n1p == 0 and n2p == 0:

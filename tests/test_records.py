@@ -231,17 +231,18 @@ class TestRecordContract:
 
 @pytest.mark.parametrize("cls", RECORDS, ids=[c.__name__ for c in RECORDS])
 def test_only_the_per_call_methods_are_generated(cls):
-    """errors.record compiles per class only what runs per call; the
-    rarely run methods are the shared base's own functions."""
+    """errors.record compiles per class only the constructors, which
+    run per call; every other method, ``==`` and ``hash`` included, is
+    the shared base's own function."""
     assert cls.__bases__ == (_Record,)
-    shared = ["__repr__", "__getstate__", "__setstate__"]
-    shared += ["__setattr__", "__delattr__"]
+    shared = ["__eq__", "__hash__", "__repr__", "__getstate__"]
+    shared += ["__setstate__", "__setattr__", "__delattr__"]
     if sys.version_info >= (3, 13):
         shared.append("__replace__")
     for name in shared:
         assert name not in vars(cls)
         assert getattr(cls, name) is vars(_Record)[name]
-    own = ["__init__", "__eq__", "__hash__"]
+    own = ["__init__"]
     if hasattr(cls, "_unchecked"):
         own.append("_unchecked")
     for name in own:

@@ -9,21 +9,33 @@ from hypothesis import strategies as st
 
 from triplemoduli import (
     DomainError,
+    HiggsType,
+    HodgeChain,
     TripleType,
     alpha_range,
     alpha_slope,
+    canonicalize,
     chambers,
     chi,
+    coprime_partition,
     delta_alpha,
+    dim_h1_weight,
     dim_stable_moduli,
     dual,
+    enumerate_region,
     enumerate_walls,
     fibration_dims,
     flip_dims,
+    integer_genericity,
     is_critical,
+    morse_index,
+    omega_membership,
     slope,
+    tau_quotient_facts,
     thresholds,
     triple_slope,
+    uk_profile,
+    wall_alpha,
     witness_check,
 )
 
@@ -383,6 +395,7 @@ def test_zero_rank_refusal_names_the_function(call, message):
 
 T21 = TripleType(2, 1, 4, 1)
 T11 = TripleType(1, 1, 1, 0)
+T22 = TripleType(2, 2, 1, 0)
 
 # every caller-facing rational parameter: how to pass it, and its name
 RATIONAL_PARAMETERS = {
@@ -427,3 +440,79 @@ def test_a_rational_parameter_takes_only_int_or_fraction(site, value):
     # an int or a Fraction is taken
     call(3)
     call(F(7, 2))
+
+
+CHAIN = HodgeChain((1, 2, 1), (3, 1, -2))
+
+# every caller-facing integer parameter: how to pass it, and its name;
+# each site takes 2
+INTEGER_PARAMETERS = {
+    "TripleType n1": (lambda x: TripleType(x, 1, 4, 1), "n1"),
+    "TripleType n2": (lambda x: TripleType(2, x, 4, 1), "n2"),
+    "TripleType d1": (lambda x: TripleType(2, 1, x, 1), "d1"),
+    "TripleType d2": (lambda x: TripleType(2, 1, 4, x), "d2"),
+    "slope n": (lambda x: slope(x, 1), "rank"),
+    "slope d": (lambda x: slope(2, x), "degree"),
+    "chi": (lambda x: chi(T21, T11, x), "genus"),
+    "dim_stable_moduli": (lambda x: dim_stable_moduli(T21, x), "genus"),
+    "fibration_dims": (lambda x: fibration_dims(T21, x), "genus"),
+    "wall_alpha n1p": (lambda x: wall_alpha(T21, x, 0, 5), "n1p"),
+    "wall_alpha n2p": (lambda x: wall_alpha(T22, 1, x, 5), "n2p"),
+    "wall_alpha dsum": (lambda x: wall_alpha(T21, 1, 0, x), "dsum"),
+    "enumerate_walls": (lambda x: enumerate_walls(T21, g=x), "genus"),
+    "integer_genericity": (lambda x: integer_genericity(T21, x), "m"),
+    "chambers": (lambda x: chambers(T21, x), "genus"),
+    "flip_dims": (
+        lambda x: flip_dims(T21, TripleType(2, 0, 5, 0), x),
+        "genus",
+    ),
+    "HiggsType p": (lambda x: HiggsType(x, 3, 1, 1, 2), "p"),
+    "HiggsType q": (lambda x: HiggsType(2, x, 1, 1, 2), "q"),
+    "HiggsType a": (lambda x: HiggsType(2, 3, x, 1, 2), "a"),
+    "HiggsType b": (lambda x: HiggsType(2, 3, 1, x, 2), "b"),
+    "HiggsType g": (lambda x: HiggsType(2, 3, 1, 1, x), "genus"),
+    "omega_membership p": (lambda x: omega_membership(x, 3, 2, 1, 1), "p"),
+    "omega_membership q": (lambda x: omega_membership(2, x, 2, 1, 1), "q"),
+    "omega_membership g": (
+        lambda x: omega_membership(2, 3, x, 1, 1),
+        "genus",
+    ),
+    "omega_membership a": (lambda x: omega_membership(2, 3, 2, x, 1), "a"),
+    "omega_membership b": (lambda x: omega_membership(2, 3, 2, 1, x), "b"),
+    "canonicalize p": (lambda x: canonicalize(x, 3, 2, 1, 1), "p"),
+    "canonicalize q": (lambda x: canonicalize(2, x, 2, 1, 1), "q"),
+    "canonicalize g": (lambda x: canonicalize(2, 3, x, 1, 1), "genus"),
+    "canonicalize a": (lambda x: canonicalize(2, 3, 2, x, 1), "a"),
+    "canonicalize b": (lambda x: canonicalize(2, 3, 2, 1, x), "b"),
+    "enumerate_region p": (lambda x: enumerate_region(x, 3, 2), "p"),
+    "enumerate_region q": (lambda x: enumerate_region(2, x, 2), "q"),
+    "enumerate_region g": (lambda x: enumerate_region(2, 3, x), "genus"),
+    "tau_quotient_facts p": (lambda x: tau_quotient_facts(x, 3), "p"),
+    "tau_quotient_facts q": (lambda x: tau_quotient_facts(2, x), "q"),
+    "coprime_partition p": (lambda x: coprime_partition(x, 3, 2), "p"),
+    "coprime_partition q": (lambda x: coprime_partition(2, x, 2), "q"),
+    "coprime_partition g": (lambda x: coprime_partition(2, 3, x), "genus"),
+    "HodgeChain rank": (lambda x: HodgeChain((1, x), (1, 0)), "chain rank"),
+    "HodgeChain degree": (
+        lambda x: HodgeChain((1, 1), (1, x)),
+        "chain degree",
+    ),
+    "uk_profile": (lambda x: uk_profile(CHAIN, x), "weight k"),
+    "dim_h1_weight k": (lambda x: dim_h1_weight(CHAIN, x, 2), "weight k"),
+    "dim_h1_weight g": (lambda x: dim_h1_weight(CHAIN, 1, x), "genus"),
+    "morse_index": (lambda x: morse_index(CHAIN, x), "genus"),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, 0.5, 2.0, F(1, 2), "2"],
+    ids=["bool", "float", "integral-float", "fraction", "str"],
+)
+@pytest.mark.parametrize("site", sorted(INTEGER_PARAMETERS))
+def test_an_integer_parameter_takes_only_int(site, value):
+    call, name = INTEGER_PARAMETERS[site]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value).startswith("%s must be an integer" % name)
+    call(2)
