@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 from itertools import repeat
 
 from .errors import DomainError, _gc_paused, record, require_int
-from .rationals import Rational
+from .rationals import Rational, _ratio
 
 
 @record
@@ -213,7 +212,7 @@ def tau_quotient_facts(p: int, q: int) -> TauQuotientFacts:
     k = math.gcd(p, q)
     return TauQuotientFacts(
         k=k,
-        image_lattice_step=Fraction(2 * k, p + q),
+        image_lattice_step=_ratio(2 * k, p + q),
         kernel_size=k,
         kernel_generator=(p // k, q // k),
     )

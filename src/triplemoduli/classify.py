@@ -25,7 +25,6 @@ subspace verdicts, so every Verdict takes them from one module table.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .errors import record
@@ -37,7 +36,7 @@ from .higgs import (
     expected_dim,
     rigidity,
 )
-from .rationals import Rational
+from .rationals import Rational, _ratio
 
 YES = "yes"
 NO = "no"
@@ -200,7 +199,7 @@ def classify(H: HiggsType) -> Verdict:
     # add about 1.5 us to a call that takes about 4 us without them.
     return Verdict(
         H,
-        Fraction(num, n),  # tau
+        _ratio(num, n),  # tau
         tau_M,  # tau_max
         within,  # in_range
         saturated,

@@ -41,7 +41,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .errors import DomainError
-from .rationals import jsonable, parse_rat
+from .rationals import _ratio, jsonable, parse_rat
 
 
 def _rational(text: str) -> Fraction:
@@ -123,8 +123,8 @@ def _cmd_triple(args) -> tuple[dict, dict, list]:
     warnings: list[str] = []
     outputs: dict = {
         "type": _wire(T),
-        "mu1": Fraction(T.d1, T.n1),
-        "mu2": Fraction(T.d2, T.n2),
+        "mu1": _ratio(T.d1, T.n1),
+        "mu2": _ratio(T.d2, T.n2),
         "slope": triple_slope(T),
         "alpha_range": _wire(rng),
     }

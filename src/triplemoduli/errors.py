@@ -1,7 +1,8 @@
 """Error types, input checks, the record decorator (each record class
-compiles only its constructors and shares every other method from one
-base), and the cyclic collector pause (``_gc_paused``, for the bulk
-builders of walls.py and census.py, whose results hold no cycle)."""
+compiles its ``__init__`` when defined and ``_unchecked`` on first use,
+and shares every other method from one base), and the cyclic collector
+pause (``_gc_paused``, for the bulk builders of walls.py and census.py,
+whose results hold no cycle)."""
 
 from __future__ import annotations
 
@@ -111,6 +112,25 @@ class _TwinFields:
         return twin.__dataclass_fields__
 
 
+class _Unchecked:
+    """A checking record's ``_unchecked``, compiled on first access from
+    the source and scope ``record`` made for the class, then put on the
+    class as a staticmethod in place of this descriptor, as
+    ``_TwinFields`` does."""
+
+    def __init__(self, src: str, scope: dict):
+        self.src = src
+        self.scope = scope
+
+    def __get__(self, obj, cls):
+        methods = {}
+        exec(self.src, self.scope, methods)
+        func = methods["_unchecked"]
+        func.__qualname__ = cls.__qualname__ + "._unchecked"
+        cls._unchecked = staticmethod(func)
+        return func
+
+
 def record(cls):
     """Make cls, which derives from object only, a frozen, slotted
     record: the form of every result record in the library.
@@ -125,23 +145,25 @@ def record(cls):
     dataclasses do.
 
     Compiling is most of the cost of defining a record, so one ``exec``
-    per class generates only the constructors, which run per item:
-    ``__init__`` stores each field through its slot descriptor (about
-    half the cost of a frozen dataclass's per-field
-    ``object.__setattr__``), then calls __post_init__ if cls has one;
-    its parameters and annotations are the dataclass __init__'s. Every
-    other method is written once, on ``_Record``: ``__eq__``,
-    ``__hash__``, ``__repr__``, ``__getstate__``, ``__setstate__``, the
-    frozen ``__setattr__`` and ``__delattr__`` and (from Python 3.13)
-    ``__replace__``, so ``==`` and ``hash`` take about 1 us, not 0.2.
+    per class generates only ``__init__``, which runs per item: it
+    stores each field through its slot descriptor (about half the cost
+    of a frozen dataclass's per-field ``object.__setattr__``), then
+    calls __post_init__ if cls has one; its parameters and annotations
+    are the dataclass __init__'s. Every other method is written once,
+    on ``_Record``: ``__eq__``, ``__hash__``, ``__repr__``,
+    ``__getstate__``, ``__setstate__``, the frozen ``__setattr__`` and
+    ``__delattr__`` and (from Python 3.13) ``__replace__``, so ``==``
+    and ``hash`` take about 1 us, not 0.2.
 
     A class with a __post_init__ (``TripleType``, ``HiggsType`` and
     ``HodgeChain``, which check their fields) also gets a private
     static constructor ``_unchecked`` with the parameters of
     ``__init__``: it stores the slots and skips __post_init__, with its
-    checks and conversions, at about 40% of the checked cost. Use it
-    only where every field derives from a record checked already, and
-    name at the call site the check that makes it safe (``triples.dual``,
+    checks and conversions, at about 40% of the checked cost. It is
+    compiled on first access (``_Unchecked``), so a process that never
+    builds a record unchecked never compiles it. Use it only where every
+    field derives from a record checked already, and name at the call
+    site the check that makes it safe (``triples.dual``,
     ``higgs._minima_triple``); a caller's values go through the class.
 
     Nothing here imports dataclasses (which loads inspect, ast and dis):
@@ -154,22 +176,23 @@ def record(cls):
     params = ", ".join(
         n + "=_defaults[%r]" % n if n in defaults else n for n in names
     )
-    checked = "__post_init__" in ns
     stores = "\n".join(" _set_%s(self, %s)" % (n, n) for n in names)
-    src = ["def __init__(self, %s):" % params, stores]
-    if checked:
-        src += [" self.__post_init__()", "def _unchecked(%s):" % params]
-        src += [" self = _new(_cls)", stores, " return self"]
+    src = "def __init__(self, %s):\n%s" % (params, stores)
     scope = {"__name__": cls.__module__, "_defaults": defaults, "_new": object.__new__}
+    if "__post_init__" in ns:
+        src += "\n self.__post_init__()"
+        ns["_unchecked"] = _Unchecked(
+            "def _unchecked(%s):\n self = _new(_cls)\n%s\n return self"
+            % (params, stores),
+            scope,
+        )
     methods = {}
-    exec("\n".join(src), scope, methods)
-    for name, method in methods.items():
-        method.__qualname__ = cls.__qualname__ + "." + name
-    methods["__init__"].__annotations__ = {**cls.__annotations__, "return": None}
-    if checked:
-        methods["_unchecked"] = staticmethod(methods["_unchecked"])
+    exec(src, scope, methods)
+    init = methods["__init__"]
+    init.__qualname__ = cls.__qualname__ + ".__init__"
+    init.__annotations__ = {**cls.__annotations__, "return": None}
     ns.update(
-        methods,
+        __init__=init,
         __slots__=names,
         __match_args__=names,
         __qualname__=cls.__qualname__,

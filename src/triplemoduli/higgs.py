@@ -19,11 +19,10 @@ with p != q (rigidity), whose total dimension falls below the expected one.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional
 
 from .errors import record, require_int
-from .rationals import Rational
+from .rationals import Rational, _ratio
 from .triples import TripleType
 
 
@@ -155,7 +154,7 @@ def toledo(H: HiggsType) -> ToledoReport:
     """
     num, n, tau_M, within, saturated = _toledo_ints(H)
     return ToledoReport(
-        tau=Fraction(num, n),
+        tau=_ratio(num, n),
         tau_M=tau_M,
         within_bound=within,
         saturated=saturated,
@@ -205,7 +204,7 @@ def minima_triple_type(H: HiggsType) -> MinimaRealization:
     return MinimaRealization(
         case_tag=pattern,
         triple=triple,
-        alpha=Fraction(2 * H.g - 2),
+        alpha=_ratio(2 * H.g - 2, 1),
         product_factors=(
             ((H.p, H.a), (H.q, H.b)) if pattern == "both_zero" else None
         ),
@@ -245,12 +244,12 @@ def mw_relations(H: HiggsType) -> MWReport:
         ("two_g_minus_2_ge_alpha_m", vs_m >= 0),
         ("alpha_m_equality_iff_tau_zero", (vs_m == 0) == (num == 0)),
     ]
-    alpha_M: Optional[Fraction] = None
+    alpha_M: Optional[Rational] = None
     alpha_M_vs: Optional[str] = None
     if n1 != n2:
         top = 2 * max(n1, n2) * gap
         den = abs(n1 - n2) * nn
-        alpha_M = Fraction(top, den)
+        alpha_M = _ratio(top, den)
         vs_M = _sign(two * den - top)
         alpha_M_vs = _CMP[vs_M + 1]
         facts.append(
@@ -267,12 +266,12 @@ def mw_relations(H: HiggsType) -> MWReport:
     # Positional, in field order: on CPython 3.11 the 11 keywords would
     # add about 0.5 us to the call.
     return MWReport(
-        Fraction(num, n),  # tau
+        _ratio(num, n),  # tau
         tau_M,
         within,  # within_bound
         saturated,
         Tm,  # triple
-        Fraction(gap, nn),  # alpha_m
+        _ratio(gap, nn),  # alpha_m
         alpha_M,
         two,  # two_g_minus_2
         _CMP[1 - vs_m],  # alpha_m_vs_2g2

@@ -59,6 +59,12 @@ def uk_profile(C: HodgeChain, k: int) -> tuple[int, int]:
     beyond the chain (|k| > m - 1) give (0, 0).
     """
     require_int("weight k", k)
+    return _uk_profile(C, k)
+
+
+def _uk_profile(C: HodgeChain, k: int) -> tuple[int, int]:
+    """uk_profile without the check of k, for an int k the caller
+    computed."""
     m = C.length
     rank = 0
     degree = 0
@@ -80,8 +86,8 @@ def dim_h1_weight(C: HodgeChain, k: int, g: int) -> int:
     """
     require_int("weight k", k, 0)
     require_int("genus", g, 2)
-    r_odd, d_odd = uk_profile(C, 2 * k + 1)
-    r_even, d_even = uk_profile(C, 2 * k)
+    r_odd, d_odd = _uk_profile(C, 2 * k + 1)
+    r_even, d_even = _uk_profile(C, 2 * k)
     base = (g - 1) * (r_odd + r_even) + d_odd - d_even
     if k == 0:
         return 1 + base
@@ -99,7 +105,7 @@ def morse_index(C: HodgeChain, g: int) -> int:
     require_int("genus", g, 2)
     total = 0
     for k in range(2, C.length):
-        rank, degree = uk_profile(C, k)
+        rank, degree = _uk_profile(C, k)
         sign = 1 if (k + 1) % 2 == 0 else -1
         total += (g - 1) * rank + sign * degree
     return total

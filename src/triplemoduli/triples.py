@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, record, require_int, require_rational
-from .rationals import Rational
+from .rationals import Rational, _ratio
 
 
 @record
@@ -172,19 +172,19 @@ def slope(n: int, d: int) -> Rational:
     """Slope d/n of a bundle of rank n >= 1 and degree d."""
     require_int("rank", n, 1)
     require_int("degree", d)
-    return Fraction(d, n)
+    return _ratio(d, n)
 
 
 def triple_slope(T: TripleType) -> Rational:
     """Plain slope mu(T) = (d1 + d2)/(n1 + n2)."""
-    return Fraction(T.total_degree, T.total_rank)
+    return _ratio(T.total_degree, T.total_rank)
 
 
 def alpha_slope(T: TripleType, alpha: Rational) -> Rational:
     """alpha-slope mu_alpha(T) = mu(T) + alpha * n2/(n1 + n2)."""
     require_rational("alpha", alpha)
     a = Fraction(alpha)
-    return triple_slope(T) + a * Fraction(T.n2, T.total_rank)
+    return triple_slope(T) + a * _ratio(T.n2, T.total_rank)
 
 
 def delta_alpha(T: TripleType, W: TripleType, alpha: Rational) -> Rational:
@@ -254,9 +254,9 @@ def alpha_range(T: TripleType) -> AlphaInterval:
     num = T.d1 * n2 - T.d2 * n1
     hi: Optional[Fraction] = None
     if n1 != n2:
-        hi = Fraction(2 * max(n1, n2) * num, abs(n1 - n2) * n1 * n2)
+        hi = _ratio(2 * max(n1, n2) * num, abs(n1 - n2) * n1 * n2)
     return AlphaInterval(
-        lo=Fraction(num, n1 * n2),
+        lo=_ratio(num, n1 * n2),
         hi=hi,
         empty=num < 0,
         single_point=(num == 0 and n1 != n2),
@@ -326,12 +326,12 @@ def thresholds(T: TripleType) -> Thresholds:
     n = n1 + n2
     num2 = 2 * (S.d1 * n2 - S.d2 * n1)
     alpha_js = tuple(
-        Fraction(num2, n2 * (n1 - n2) + (j + 1) * n) for j in range(n2)
+        _ratio(num2, n2 * (n1 - n2) + (j + 1) * n) for j in range(n2)
     )
     alpha_0 = alpha_js[0]
     alpha_t: Optional[Fraction] = None
     if n1 > n2:
-        alpha_t = Fraction(num2 - n, n2 * (n1 - n2))
+        alpha_t = _ratio(num2 - n, n2 * (n1 - n2))
     candidates = [alpha_m, alpha_0]
     if alpha_t is not None:
         candidates.append(alpha_t)
@@ -361,7 +361,7 @@ def thresholds(T: TripleType) -> Thresholds:
                 wall = nD - n * ((P * det + Q * nD) // Qn + 1)
                 if wall * den > num * -det:
                     num, den, fallback = wall, -det, False
-        alpha_L = alpha_m if fallback else Fraction(num, den)
+        alpha_L = alpha_m if fallback else _ratio(num, den)
     return Thresholds(
         alpha_m=alpha_m,
         alpha_M=alpha_M,

@@ -47,7 +47,7 @@ from .errors import (
     require_int,
     require_rational,
 )
-from .rationals import Rational
+from .rationals import Rational, _ratio
 from .triples import (
     TripleType,
     _admissible_rank_pairs,
@@ -197,9 +197,10 @@ def wall_alpha(T: TripleType, n1p: int, n2p: int, dsum: int) -> Rational:
             "rank pair (%d, %d) is proportional to (%d, %d); the slopes are "
             "parallel in alpha" % (n1p, n2p, T.n1, T.n2)
         )
-    return Fraction(
-        T.total_rank * dsum - (n1p + n2p) * T.total_degree, det
-    )
+    num = T.total_rank * dsum - (n1p + n2p) * T.total_degree
+    if det < 0:
+        num, det = -num, -det
+    return _ratio(num, det)
 
 
 def _wall_plan(
@@ -233,7 +234,7 @@ def _wall_plan(
                     "the wall set for n1 = n2 is unbounded; pass an explicit "
                     "interval or g for the default horizon max(alpha_L, 2g-2, alpha_m)+1"
                 )
-            hi = max(aL, Fraction(2 * g - 2), lo) + 1
+            hi = max(aL, _ratio(2 * g - 2, 1), lo) + 1
         else:
             assert rng.hi is not None
             hi = rng.hi
@@ -367,7 +368,7 @@ def enumerate_walls(
     """
     _, _, aL, L, drop, plan = _wall_plan(T, interval, include_endpoints, g)
     return tuple(
-        Wall(Fraction(k, L), tuple(ws), stabilized)
+        Wall(_ratio(k, L), tuple(ws), stabilized)
         for k, ws, stabilized in _grouped(
             aL, L, drop, plan, partial(map, WallWitness)
         )
@@ -463,7 +464,7 @@ def chambers(
     # the plan drops alpha_m and alpha_M; an equal-rank top is dropped too
     drop.append(top * L)
     walls = tuple(
-        Wall(Fraction(k, L), tuple(ws), stabilized)
+        Wall(_ratio(k, L), tuple(ws), stabilized)
         for k, ws, stabilized in _grouped(
             alpha_L, L, drop, plan, partial(map, WallWitness)
         )
@@ -476,7 +477,7 @@ def chambers(
     first_large = last
     if alpha_L is not None:
         first_large = min(bisect.bisect_left(bounds, alpha_L), last)
-    marker = Fraction(2 * g - 2)
+    marker = _ratio(2 * g - 2, 1)
     at = bisect.bisect_left(alphas, marker)
     marker_chamber: Optional[int] = None
     if marker < lo:
@@ -573,8 +574,8 @@ def flip_dims(T: TripleType, Tp: TripleType, g: int) -> FlipDims:
     codim = dim - stilde
     # additivity of chi makes this exact for every split
     assert codim == -cross_rev
-    lam_sub = Fraction(Tp.n2, Tp.total_rank)
-    lam_quot = Fraction(n2pp, n1pp + n2pp)
+    lam_sub = _ratio(Tp.n2, Tp.total_rank)
+    lam_quot = _ratio(n2pp, n1pp + n2pp)
     return FlipDims(
         stilde_dim=stilde,
         minus_chi_cross=-cross,
