@@ -20,14 +20,21 @@ Every wall of a type lies on the lattice (1/L)Z, where L is the lcm of
 |n1' n2 - n1 n2'| over the admissible rank pairs, so the scan keys each
 candidate by its integer numerator k = alpha L and builds one Fraction per
 wall; is_critical tests alpha = p/q by the divisibility of
-p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2). One plan
-(_wall_plan) resolves the window and one scan (_grouped) groups its
-candidates by key, one key window of about 8,192 candidates at a time,
-so its grouping dict holds one window, whatever the request:
-enumerate_walls and chambers build Wall records from it, and _wall_rows
-the int rows the CLI writes, alpha in lowest terms, with no Fraction or
-record per wall. All three pause the cyclic collector while they build
-(errors._gc_paused): walls and witnesses hold no cycle.
+p (n1' n2 - n1 n2') + q (n1' + n2')(d1 + d2) by q (n1 + n2).
+
+The walls are periodic: d' -> d' + det moves a rank pair's wall from
+alpha to alpha + n1 + n2, so the candidates' keys repeat with a period
+P that divides (n1 + n2) L. One plan (_wall_plan) resolves the window
+and one scan (_columns, behind _grouped) builds its walls by key, one
+key window of about 8,192 candidates at a time, so the scan holds one
+window, whatever the request. A window spanning _PERIODS = 16 periods
+or more is translated from the first period, grouped once per scan; a
+narrower one is grouped in a dict, which is faster below about 16
+periods. enumerate_walls and chambers build Wall records from the
+window's columns, and _wall_rows the int rows the CLI writes, alpha in
+lowest terms, with no Fraction or record per wall. All three pause the
+cyclic collector while they build (errors._gc_paused): walls and
+witnesses hold no cycle.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import Optional
 
 from .errors import (
@@ -276,6 +283,8 @@ def _wall_plan(
 
 # about the most candidates _grouped holds in one dict
 _WINDOW = 8192
+# the fewest periods a key window spans to be built by translation
+_PERIODS = 16
 
 
 def _grouped(aL, L, drop, plan, witnesses):
@@ -284,21 +293,64 @@ def _grouped(aL, L, drop, plan, witnesses):
 
     ``witnesses`` builds one rank pair's witnesses from the iterables
     n1', n2', d': ``zip`` gives int rows, ``partial(map, WallWitness)``
-    records. They come out in (n1', n2', d') order: rank pairs are
-    planned in that order and each meets a wall at most once.
+    records. Each wall's witnesses come as a list, in (n1', n2', d')
+    order: rank pairs are planned in that order and each meets a wall
+    at most once.
+    """
+    # starmap keeps no window alive while it builds the next
+    return chain.from_iterable(
+        starmap(
+            lambda keys, groups, stabilized: zip(
+                keys, map(list, groups), stabilized
+            ),
+            _columns(aL, L, drop, plan, witnesses),
+        )
+    )
 
-    A plan of at most _WINDOW candidates is grouped as one window, with
-    no slicing and no generator. A larger one is cut into key windows
-    [a, a + width) of about _WINDOW candidates each, in ascending
-    order; each is grouped, sorted and emitted (a zip, the windows
-    chained) before the next is built, so memory is bounded by the
-    window, not by the request. Every key of a window is below every
-    key of the next, and a wall's witnesses all share its key, so the
-    output is the one-window output.
+
+def _walls(aL, L, drop, plan):
+    """The Wall records of a _wall_plan, ascending, one window's columns
+    at a time."""
+    walls = []
+    for keys, groups, stabilized in _columns(
+        aL, L, drop, plan, partial(map, WallWitness)
+    ):
+        walls += map(
+            Wall, map(_ratio, keys, repeat(L)), map(tuple, groups), stabilized
+        )
+    return tuple(walls)
+
+
+def _columns(aL, L, drop, plan, witnesses):
+    """_grouped as columns: for each key window, in ascending order, its
+    keys, their witness groups and their stabilized flags. A group is a
+    list in a grouped window and a tuple in a translated one.
+
+    A plan of at most _WINDOW candidates spanning fewer than _PERIODS
+    periods (below) is grouped as one window, with no slicing and no
+    generator. A larger one is cut into key windows [a, a + width) of
+    about _WINDOW candidates each; each is built before the next, so
+    memory is bounded by the window, not by the request. Every key of a
+    window is below every key of the next, and a wall's witnesses all
+    share its key, so the output is the one-window output.
+
+    The candidates are periodic in k. A rank pair's keys step by
+    s = n L/det as d' steps by 1 (n = n1 + n2), so with P the lcm of
+    the steps, which divides n L (d' -> d' + det moves alpha by n),
+    each key k of a pair comes with k + P, at d' + P/s. A pair has every
+    key of its residues between lo L and hi L, so when the windows span
+    _PERIODS periods or more, only the first period [first, first + P)
+    is grouped in a dict (_template), and every window is translated
+    from it (_translated); otherwise each window's candidates are
+    grouped in one dict (_group).
     """
     total = sum(len(dps) for _, _, dps, _ in plan)
-    if total <= _WINDOW:
-        return _group(aL, L, drop, plan, witnesses)
+    # the keys to drop as ints: e L is a key only when it is an integer
+    drop = [e.numerator for e in drop if e.denominator == 1]
+    # a window of _PERIODS periods holds _PERIODS keys of every rank
+    # pair, so a plan with fewer candidates spans fewer periods
+    if not total or (total <= _WINDOW and total < _PERIODS * len(plan)):
+        return (_group(aL, L, drop, plan, witnesses),)
     # a rank pair meets each key at most once, so reversing a falling
     # pair's ranges reorders no wall's witnesses
     rising = [
@@ -311,8 +363,17 @@ def _grouped(aL, L, drop, plan, witnesses):
     stop = max(keys[-1] for *_, keys in rising) + 1
     windows = -(-total // _WINDOW)
     width = -(-(stop - first) // windows)
-    return chain.from_iterable(
-        _group(aL, L, drop, _window(rising, a, a + width), witnesses)
+    P = math.lcm(*(keys.step for *_, keys in rising))
+    if width < _PERIODS * P:
+        if windows == 1:
+            return (_group(aL, L, drop, plan, witnesses),)
+        return (
+            _group(aL, L, drop, _window(rising, a, a + width), witnesses)
+            for a in range(first, stop, width)
+        )
+    template = _template(rising, first, P)
+    return (
+        _translated(template, a, min(a + width, stop), aL, L, drop, witnesses)
         for a in range(first, stop, width)
     )
 
@@ -329,19 +390,81 @@ def _window(rising, a, b):
 
 
 def _group(aL, L, drop, plan, witnesses):
-    """_grouped over one window: every candidate of ``plan`` in one dict,
-    then its keys sorted."""
+    """The columns of one window: every candidate of ``plan`` in one
+    dict, then its keys sorted."""
     found = defaultdict(list)
+    rep = {}  # one infinite, stateless repeat per rank value
     for n1p, n2p, dps, keys in plan:
-        for k, w in zip(keys, witnesses(repeat(n1p), repeat(n2p), dps)):
+        ws = witnesses(
+            rep.get(n1p) or rep.setdefault(n1p, repeat(n1p)),
+            rep.get(n2p) or rep.setdefault(n2p, repeat(n2p)),
+            dps,
+        )
+        for k, w in zip(keys, ws):
             found[k].append(w)
     for k in drop:
         found.pop(k, None)
     keys = sorted(found)
-    stabilized = repeat(False)
-    if aL is not None:
-        stabilized = map(math.floor(aL * L).__lt__, keys)
-    return zip(keys, map(found.__getitem__, keys), stabilized)
+    return keys, map(found.__getitem__, keys), _stabilized(keys, aL, L)
+
+
+def _template(rising, first, P):
+    """The walls of the first period [first, first + P) of an ascending
+    plan: (P, residues, starts), the residues being their keys,
+    ascending, and each start the residue's witnesses, in rank-pair
+    order, as (repeat(n1'), repeat(n2'), d', shift), where shift is the
+    pair's change of d' per period."""
+    found = defaultdict(list)
+    for n1p, n2p, dps, keys in rising:
+        n1s, n2s = repeat(n1p), repeat(n2p)
+        # the pair has every key of its residues from first on, so its
+        # first key is below first + step and a period holds P/step keys
+        per = P // keys.step
+        shift = per * dps.step
+        for k, d in zip(keys[:per], dps):
+            found[k].append((n1s, n2s, d, shift))
+    residues = sorted(found)
+    return P, residues, list(map(found.__getitem__, residues))
+
+
+def _translated(template, a, b, aL, L, drop, witnesses):
+    """The columns of the key window [a, b), translated from a
+    _template: the residue r has the keys r + j P, whose witnesses are
+    its starts with d' moved by j shifts. From a on, the residues come
+    in one cyclic order, so the i-th of them in that order has every
+    R-th key from the i-th on, and its column fills that slice."""
+    P, residues, starts = template
+    j = (a - residues[0]) // P
+    s = bisect.bisect_left(residues, a - j * P)
+    cols = []
+    for i in chain(range(s, len(residues)), range(s)):
+        jj = j + (i < s)
+        ks = range(residues[i] + jj * P, b, P)
+        m = len(ks)
+        cols.append((ks, zip(*[
+            witnesses(n1s, n2s, range(d + jj * sh, d + (jj + m) * sh, sh))
+            for n1s, n2s, d, sh in starts[i]
+        ])))
+    R = len(cols)
+    keys = [0] * sum(len(ks) for ks, _ in cols)
+    groups = keys[:]
+    for i, (ks, ws) in enumerate(cols):
+        keys[i::R] = ks
+        groups[i::R] = ws
+    for k in drop:
+        i = bisect.bisect_left(keys, k)
+        if i < len(keys) and keys[i] == k:
+            del keys[i], groups[i]
+    return keys, groups, _stabilized(keys, aL, L)
+
+
+def _stabilized(keys, aL, L):
+    """The stabilized flags of ascending keys: set above alpha_L (for
+    n1 = n2; aL is None otherwise)."""
+    if aL is None:
+        return repeat(False)
+    last = aL.numerator * L // aL.denominator
+    return chain(repeat(False, bisect.bisect_right(keys, last)), repeat(True))
 
 
 @_gc_paused
@@ -367,12 +490,7 @@ def enumerate_walls(
     one Fraction k/L is built per wall.
     """
     _, _, aL, L, drop, plan = _wall_plan(T, interval, include_endpoints, g)
-    return tuple(
-        Wall(_ratio(k, L), tuple(ws), stabilized)
-        for k, ws, stabilized in _grouped(
-            aL, L, drop, plan, partial(map, WallWitness)
-        )
-    )
+    return _walls(aL, L, drop, plan)
 
 
 @_gc_paused
@@ -463,12 +581,7 @@ def chambers(
     lo, top, alpha_L, L, drop, plan = _wall_plan(T, window, False, g)
     # the plan drops alpha_m and alpha_M; an equal-rank top is dropped too
     drop.append(top * L)
-    walls = tuple(
-        Wall(_ratio(k, L), tuple(ws), stabilized)
-        for k, ws, stabilized in _grouped(
-            alpha_L, L, drop, plan, partial(map, WallWitness)
-        )
-    )
+    walls = _walls(alpha_L, L, drop, plan)
     alphas = [w.alpha for w in walls]
     bounds = [lo] + alphas + [top]
     last = len(alphas)

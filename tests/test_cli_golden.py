@@ -59,6 +59,12 @@ ARGVS = [
     # empty blocks: an empty admissible range, and no witnesses
     ["walls", *_flags(_T, (2, 1, 0, 1))],
     ["walls", *_flags(_T, (3, 2, 7, -2)), "--alpha", "1/7"],
+    # scans spanning many periods of the walls (alpha -> alpha + n1 + n2),
+    # built by translating one period: both range endpoints, alpha_m = 30
+    # and alpha_M = 120, dropped strictly inside the window; and
+    # stabilized flags past alpha_L = 3 over about 40 periods
+    ["walls", *_flags(_T, (2, 1, 20, -20)), "--interval", "0", "150"],
+    ["chambers", *_flags(_T, (2, 2, 3, 0)), "--g", "2", "--cutoff", "160"],
 ]
 CASES = [argv + mode for argv in ARGVS for mode in (["--json"], [])]
 

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 from functools import partial
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -378,24 +379,26 @@ def scan_inputs(T, interval=None, include_endpoints=False, g=None):
 BUILDERS = [zip, partial(map, WallWitness)]
 
 
+def scan_cases():
+    """(g, include_endpoints, offsets): the default window with g, or
+    the interval from alpha_m - offsets[0]/17 to alpha_m + offsets[1]/17."""
+    return st.one_of(
+        st.tuples(st.integers(2, 4), st.booleans(), st.none()),
+        st.tuples(
+            st.none(),
+            st.booleans(),
+            st.tuples(st.integers(0, 60), st.integers(0, 240)),
+        ),
+    )
+
+
 class TestWindowedScan:
     """walls._grouped groups one key window of about _WINDOW candidates
     at a time. With windows of 1-9 candidates every scan below runs
     through many windows, so rank pairs with falling keys (det < 0),
     dropped endpoint keys and the stabilized flags meet window edges."""
 
-    @given(
-        triple_types(),
-        st.integers(1, 9),
-        st.one_of(
-            st.tuples(st.integers(2, 4), st.booleans(), st.none()),
-            st.tuples(
-                st.none(),
-                st.booleans(),
-                st.tuples(st.integers(0, 60), st.integers(0, 240)),
-            ),
-        ),
-    )
+    @given(triple_types(), st.integers(1, 9), scan_cases())
     @settings(max_examples=150, deadline=None)
     def test_small_windows_match_the_reference_and_the_oracle(
         self, T, window, case
@@ -507,6 +510,163 @@ class TestWindowedScan:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+
+class TestPeriodicity:
+    """The fact the translated scan relies on, checked on the oracle
+    alone: moving the window by n = n1 + n2 moves every wall by n, and
+    each witness (n1', n2', d') to (n1', n2', d' + det), with
+    det = n1' n2 - n1 n2'."""
+
+    @given(
+        triple_types(),
+        st.integers(-60, 60),
+        st.integers(1, 6),
+        st.integers(0, 60),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_walls_move_by_n_and_witnesses_by_det(self, T, p, q, length, r):
+        lo = F(p, q)
+        hi = lo + F(length, r)
+        n = T.n1 + T.n2
+        moved = {
+            alpha + n: {
+                (n1p, n2p, d + n1p * T.n2 - T.n1 * n2p)
+                for n1p, n2p, d in witnesses
+            }
+            for alpha, witnesses in oracle_walls(T, lo, hi).items()
+        }
+        assert oracle_walls(T, lo + n, hi + n) == moved
+
+
+def refuse_group(aL, L, drop, plan, witnesses):
+    """A stand-in for walls._group that fails on any candidate, so a
+    scan that passes built every window by translation."""
+    assert not any(dps for _, _, dps, _ in plan), "a window was grouped"
+    return [], [], repeat(False)
+
+
+class TestTranslatedScan:
+    """walls._columns builds every key window spanning _PERIODS periods
+    or more by translating one period of candidates. With _PERIODS = 0
+    every scan is built that way, also one spanning less than a period;
+    over the strategies of TestWindowedScan, with or without windows of
+    1-9 candidates, that covers falling rank pairs, dropped keys inside
+    a window and stabilized flags on both sides of window edges."""
+
+    @given(
+        triple_types(), st.one_of(st.none(), st.integers(1, 9)), scan_cases()
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_translation_matches_the_reference_and_the_oracle(
+        self, T, window, case
+    ):
+        g, include_endpoints, offsets = case
+        interval = None
+        if offsets is not None:
+            lo = alpha_range(T).lo
+            interval = (lo - F(offsets[0], 17), lo + F(offsets[1], 17))
+        elif alpha_range(T).empty:
+            return
+        args = scan_inputs(T, interval, include_endpoints, g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walls_module, "_PERIODS", 0)
+            if window is not None:
+                mp.setattr(walls_module, "_WINDOW", window)
+            mp.setattr(walls_module, "_group", refuse_group)
+            for build in BUILDERS:
+                got = list(walls_module._grouped(*args, build))
+                assert got == list(reference_grouped(*args, build))
+            walls = enumerate_walls(
+                T, interval, include_endpoints=include_endpoints, g=g
+            )
+        if interval is None:
+            interval = default_window(T, g)
+        assert walls == oracle_wall_tuple(T, *interval, include_endpoints)
+
+    @given(
+        triple_types(),
+        st.one_of(st.none(), st.integers(1, 9)),
+        st.integers(2, 4),
+        st.one_of(st.none(), st.integers(1, 60)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_translation_gives_the_same_chambers(self, T, window, g, cut):
+        rng = alpha_range(T)
+        if rng.empty or rng.single_point:
+            return
+        cutoff = None if cut is None or T.n1 != T.n2 else rng.lo + F(cut, 4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walls_module, "_PERIODS", 0)
+            if window is not None:
+                mp.setattr(walls_module, "_WINDOW", window)
+            mp.setattr(walls_module, "_group", refuse_group)
+            report = chambers(T, g, cutoff)
+        assert report == reference_chambers(T, g, cutoff)
+
+    def test_translated_windows_meet_drops_and_stabilization(
+        self, monkeypatch
+    ):
+        """Over a sweep of translated scans, the output is the
+        reference's, some window holds a dropped key strictly inside,
+        and the last unstabilized key falls both strictly inside a
+        window and at the end of one. Each type is scanned on its
+        default window and on one reaching 3 past each end of it, where
+        the dropped range endpoints are inside the scan."""
+        real_translated = walls_module._translated
+        windows = []
+
+        def recording_translated(template, a, b, *rest):
+            windows.append((a, b))
+            return real_translated(template, a, b, *rest)
+
+        one_window = walls_module._WINDOW
+        monkeypatch.setattr(walls_module, "_PERIODS", 0)
+        monkeypatch.setattr(walls_module, "_group", refuse_group)
+        monkeypatch.setattr(walls_module, "_translated", recording_translated)
+        dropped_inside = stabilized_inside = stabilized_at_end = 0
+        for n1, n2, d1, d2 in itertools.product(
+            range(1, 4), range(1, 4), range(-6, 7, 3), range(-6, 7, 3)
+        ):
+            T = TripleType(n1, n2, d1, d2)
+            if alpha_range(T).empty:
+                continue
+            lo, hi = default_window(T, 2)
+            for interval in (None, (lo - 3, hi + 3)):
+                aL, L, drop, plan = args = scan_inputs(T, interval, g=2)
+                expected = list(reference_grouped(*args, zip))
+                for window in (one_window, *range(1, 10)):
+                    monkeypatch.setattr(walls_module, "_WINDOW", window)
+                    windows.clear()
+                    assert list(walls_module._grouped(*args, zip)) == expected
+                    dropped_inside += any(
+                        a < k < b - 1 for a, b in windows for k in drop
+                    )
+                    if aL is not None:
+                        last = math.floor(aL * L)
+                        stabilized_inside += any(
+                            a < last < b - 1 for a, b in windows
+                        )
+                        stabilized_at_end += any(
+                            last == b - 1 for _, b in windows
+                        )
+        assert dropped_inside > 0
+        assert stabilized_inside > 0
+        assert stabilized_at_end > 0
+
+    def test_a_long_scan_is_translated_at_the_default_setting(
+        self, monkeypatch
+    ):
+        """(3,2,40,-40) spans about 33 periods of alpha (n = 5) in one
+        window, and (5,3,310,-310) about 80 in two; neither groups a
+        window in a dict, and both give the reference walls."""
+        for T in (TripleType(3, 2, 40, -40), TripleType(5, 3, 310, -310)):
+            args = scan_inputs(T)
+            expected = list(reference_grouped(*args, zip))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(walls_module, "_group", refuse_group)
+                assert list(walls_module._grouped(*args, zip)) == expected
 
 
 class TestIsCritical:
