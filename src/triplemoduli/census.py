@@ -13,11 +13,14 @@ a < p, b < q, not both negative, inside the Toledo band
 the largest translate keeping a < p and b < q has one coordinate
 nonnegative, and the next one down has neither. One column walk
 (_columns) reads each column's b-interval off the band, and both
-builders make a column in one map. enumerate_region finds the line
-index t = (aq - bp)/k once at the top of a column and steps it down by
-p/k per point; coprime_partition builds the points alone, with no
-report and no lines. Both split the points by the coprimality
-gcd(p + q, a + b) = 1 (which is class-invariant) in one pass (_split).
+builders make every class of the region in one
+ClassPair._from_columns call (_points), from the joined columns.
+enumerate_region finds the line index t = (aq - bp)/k once at the top
+of a column and steps it down by p/k per point, then puts each point
+on its line with no Python loop per point; coprime_partition builds
+the points alone, with no report and no lines. Both split the points
+by the coprimality gcd(p + q, a + b) = 1 (which is class-invariant)
+in one pass (_split).
 The module also canonicalizes a pair by that floor-division shift and
 reports the lattice geometry of tau on classes: image step 2k/(p + q),
 kernel of size k generated by (p/k, q/k). Both builders pause the
@@ -29,9 +32,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import repeat
+from itertools import chain, repeat
 
-from .errors import DomainError, _gc_paused, record, require_int
+from .errors import DomainError, _drain, _gc_paused, record, require_int
 from .rationals import Rational, _ratio
 
 
@@ -157,6 +160,19 @@ def _split(
     return tuple(coprime), tuple(non_coprime)
 
 
+def _points(cols: list) -> list[ClassPair]:
+    """The classes of a list of columns (a, b_lo, b_hi), in column
+    order, by one ClassPair._from_columns call."""
+    bs = [range(b_lo, b_hi + 1) for _, b_lo, b_hi in cols]
+    as_ = map(repeat, [a for a, _, _ in cols], map(len, bs))
+    return ClassPair._from_columns(
+        sum(map(len, bs)),
+        chain.from_iterable(as_),
+        chain.from_iterable(bs),
+        repeat(True),
+    )
+
+
 @_gc_paused
 def enumerate_region(p: int, q: int, g: int) -> CensusReport:
     """Enumerate every class representative, grouped into tau-lines.
@@ -164,17 +180,16 @@ def enumerate_region(p: int, q: int, g: int) -> CensusReport:
     The count always equals 2 (p+q) min(p,q) (g-1) + gcd(p,q), and each
     line (fibre of tau, indexed by the integer t with
     qa - bp = t gcd(p,q)) contains exactly gcd(p, q) points.
+
+    The points are built in one ClassPair._from_columns call, and put
+    on their lines with no Python loop per point.
     """
     _check_pqg(p, q, g)
     k = math.gcd(p, q)
     step = p // k
-    points: list[ClassPair] = []
-    lines: defaultdict[int, list[ClassPair]] = defaultdict(list)
-    for a, b_lo, b_hi in _columns(p, q, g):
-        column = list(
-            map(ClassPair, repeat(a), range(b_lo, b_hi + 1), repeat(True))
-        )
-        points += column
+    cols = list(_columns(p, q, g))
+    ts = []
+    for a, b_lo, b_hi in cols:
         # Down the column the line index falls by p/k per point.
         top = a * q - b_lo * p
         t_top, rem = divmod(top, k)
@@ -183,9 +198,12 @@ def enumerate_region(p: int, q: int, g: int) -> CensusReport:
                 "line index defect: qa - bp = %d not divisible by %d"
                 % (top, k)
             )
-        ts = range(t_top, t_top - step * len(column), -step)
-        for t, cp in zip(ts, column):
-            lines[t].append(cp)
+        ts.append(range(t_top, t_top - step * (b_hi - b_lo + 1), -step))
+    points = _points(cols)
+    lines: defaultdict[int, list[ClassPair]] = defaultdict(list)
+    # append each point to its line, with no Python loop
+    groups = map(lines.__getitem__, chain.from_iterable(ts))
+    _drain(map(list.append, groups, points))
     frozen_lines = {
         t: tuple(group) for t, group in sorted(lines.items())
     }
@@ -228,12 +246,7 @@ def coprime_partition(p: int, q: int, g: int) -> CoprimePartition:
     Each part lists its classes in enumerate_region's point order.
     """
     _check_pqg(p, q, g)
-    points: list[ClassPair] = []
-    for a, b_lo, b_hi in _columns(p, q, g):
-        points += map(
-            ClassPair, repeat(a), range(b_lo, b_hi + 1), repeat(True)
-        )
-    coprime, non_coprime = _split(p + q, points)
+    coprime, non_coprime = _split(p + q, _points(list(_columns(p, q, g))))
     return CoprimePartition(
         coprime=coprime,
         non_coprime=non_coprime,

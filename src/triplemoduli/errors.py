@@ -1,6 +1,7 @@
 """Error types, input checks, the record decorator (each record class
-compiles its ``__init__`` when defined and ``_unchecked`` on first use,
-and shares every other method from one base), and the cyclic collector
+compiles its ``__init__`` when defined, ``_unchecked`` and
+``_from_columns`` on first use, and shares every other method from one
+base), and the cyclic collector
 pause (``_gc_paused``, for the bulk builders of walls.py and census.py,
 whose results hold no cycle)."""
 
@@ -9,7 +10,9 @@ from __future__ import annotations
 import functools
 import gc
 import sys
+from collections import deque
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 
@@ -46,13 +49,76 @@ def require_rational(name: str, value) -> None:
         )
 
 
+# drains an iterator, keeping nothing
+_drain = deque(maxlen=0).extend
+
+
+class _Compiled:
+    """A private constructor of a record class, compiled on first access
+    from ``source(cls)`` in the scope ``record`` made for the class (that
+    of its ``__init__``), then put on the class as a staticmethod in
+    place of this descriptor, as ``_TwinFields`` does. So defining a
+    record compiles none of them, and a process compiles only those it
+    calls."""
+
+    def __get__(self, obj, cls):
+        methods = {}
+        exec(self.source(cls), cls.__init__.__globals__, methods)
+        ((name, func),) = methods.items()
+        func.__qualname__ = cls.__qualname__ + "." + name
+        setattr(cls, name, staticmethod(func))
+        return func
+
+
+class _Unchecked(_Compiled):
+    """A checking record's ``_unchecked``, from the source ``record``
+    made for the class."""
+
+    def __init__(self, src: str):
+        self.src = src
+
+    def source(self, cls):
+        return self.src
+
+
+class _FromColumns(_Compiled):
+    """Every record's ``_from_columns(n, *columns)``, shared from
+    ``_Record``: n records made by ``object.__new__``, then each field's
+    column stored through the field's slot setter by one ``map``, which
+    a zero-length deque drains, so no Python frame runs per record."""
+
+    def source(self, cls):
+        names = cls.__match_args__
+        return (
+            "def _from_columns(_n, %s):\n"
+            " _records = list(map(_new, _repeat(_cls, _n)))\n"
+            "%s\n"
+            " if _records:\n"
+            "  _last = _records[-1]\n"
+            "  try:\n"
+            "   %s\n"
+            "  except AttributeError:\n"
+            "   raise ValueError(%r %% _n) from None\n"
+            " return _records"
+        ) % (
+            ", ".join(names),
+            "\n".join(
+                " _drain(map(_set_%s, _records, %s))" % (n, n) for n in names
+            ),
+            "".join("_last.%s," % n for n in names),
+            "a column holds fewer than %d values",
+        )
+
+
 class _Record:
-    """Every method of a record but its constructors. Each reads the
-    field names from ``__match_args__``: ``==`` and ``hash`` are those
-    of the field tuple, as a frozen dataclass's are, and the pickled
-    state is a list, as a slotted dataclass's is."""
+    """Every method of a record but its per-class constructors, and
+    the descriptor that compiles ``_from_columns`` for each class. Each
+    method reads the field names from ``__match_args__``: ``==`` and
+    ``hash`` are those of the field tuple, as a frozen dataclass's are,
+    and the pickled state is a list, as a slotted dataclass's is."""
 
     __slots__ = ()
+    _from_columns = _FromColumns()
 
     def __repr__(self):
         fields = ["%s=%r" % (n, getattr(self, n)) for n in self.__match_args__]
@@ -112,25 +178,6 @@ class _TwinFields:
         return twin.__dataclass_fields__
 
 
-class _Unchecked:
-    """A checking record's ``_unchecked``, compiled on first access from
-    the source and scope ``record`` made for the class, then put on the
-    class as a staticmethod in place of this descriptor, as
-    ``_TwinFields`` does."""
-
-    def __init__(self, src: str, scope: dict):
-        self.src = src
-        self.scope = scope
-
-    def __get__(self, obj, cls):
-        methods = {}
-        exec(self.src, self.scope, methods)
-        func = methods["_unchecked"]
-        func.__qualname__ = cls.__qualname__ + "._unchecked"
-        cls._unchecked = staticmethod(func)
-        return func
-
-
 def record(cls):
     """Make cls, which derives from object only, a frozen, slotted
     record: the form of every result record in the library.
@@ -166,6 +213,21 @@ def record(cls):
     site the check that makes it safe (``triples.dual``,
     ``higgs._minima_triple``); a caller's values go through the class.
 
+    Every record also has the private bulk constructor
+    ``_from_columns(n, *columns)``, shared from ``_Record`` and compiled
+    per class on first access (``_FromColumns``): it returns a list of n
+    records, whose i-th has the i-th value of every column, one column
+    per field in ``__match_args__`` order, a default field included. It
+    makes the n objects with ``object.__new__`` and stores each column
+    through the field's slot setter with one ``map``, so it runs no
+    Python frame per record (about 0.26 against 0.35 us per
+    ``WallWitness``), for about 1 us per call. Like ``_unchecked`` it
+    skips __post_init__, so it is for the library's own scan columns
+    (the walls, witnesses, chambers and census classes), never for a
+    caller's values. A column may be longer than n (``repeat(True)``);
+    one shorter than n raises ValueError, so no record comes back with
+    a field unset.
+
     Nothing here imports dataclasses (which loads inspect, ast and dis):
     only a raised FrozenInstanceError and ``_TwinFields`` do.
     """
@@ -178,13 +240,18 @@ def record(cls):
     )
     stores = "\n".join(" _set_%s(self, %s)" % (n, n) for n in names)
     src = "def __init__(self, %s):\n%s" % (params, stores)
-    scope = {"__name__": cls.__module__, "_defaults": defaults, "_new": object.__new__}
+    scope = {
+        "__name__": cls.__module__,
+        "_defaults": defaults,
+        "_new": object.__new__,
+        "_repeat": repeat,
+        "_drain": _drain,
+    }
     if "__post_init__" in ns:
         src += "\n self.__post_init__()"
         ns["_unchecked"] = _Unchecked(
             "def _unchecked(%s):\n self = _new(_cls)\n%s\n return self"
-            % (params, stores),
-            scope,
+            % (params, stores)
         )
     methods = {}
     exec(src, scope, methods)

@@ -13,6 +13,15 @@ These are formula evaluators: nothing checks that a chain is realizable as
 a stable critical point (that needs bundle data, not just numbers), and a
 negative index is returned as-is so callers can attach the
 non-realizability advisory.
+
+The paper's local minima are the chains of length 2. For line-bundle
+chains (every rank 1) two numerical conditions necessary for a stable
+fixed point already bear this out: when each L_i -> L_{i+1} K is nonzero
+(e_{i+1} - e_i + 2g - 2 >= 0) and each tail F_i + ... + F_m (i >= 2) has
+slope below mu(E), a chain of length 3 or more has index >= 1 (tested
+over a sweep in tests/test_morse.py). Higher ranks need bundle data: with
+ranks in {1, 2}, the same two conditions leave 37,624 chains of index
+<= 0 (g in {2, 3, 4}, lengths 3-5, degrees -10..10).
 """
 
 from __future__ import annotations

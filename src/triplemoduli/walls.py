@@ -30,11 +30,15 @@ key window of about 8,192 candidates at a time, so the scan holds one
 window, whatever the request. A window spanning _PERIODS = 16 periods
 or more is translated from the first period, grouped once per scan; a
 narrower one is grouped in a dict, which is faster below about 16
-periods. enumerate_walls and chambers build Wall records from the
-window's columns, and _wall_rows the int rows the CLI writes, alpha in
-lowest terms, with no Fraction or record per wall. All three pause the
-cyclic collector while they build (errors._gc_paused): walls and
-witnesses hold no cycle.
+periods. enumerate_walls and chambers build their records column by
+column, through the bulk constructor every record has
+(``_from_columns``, errors.record), so no Python frame runs per record:
+the witnesses in one call per grouped window (the rank pairs' columns
+joined) or per witness start of a translated one, the walls in one call
+per window and the chambers in one call. _wall_rows builds the int rows
+the CLI writes, alpha in lowest terms, with no Fraction or record per
+wall. All three pause the cyclic collector while they build
+(errors._gc_paused): walls and witnesses hold no cycle.
 """
 
 from __future__ import annotations
@@ -43,12 +47,12 @@ import bisect
 import math
 from collections import defaultdict
 from fractions import Fraction
-from functools import partial
-from itertools import chain, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from typing import Optional
 
 from .errors import (
     DomainError,
+    _drain,
     _gc_paused,
     record,
     require_int,
@@ -133,6 +137,13 @@ class ChamberReport:
     the marker's chamber and the nearest large chamber (None when the
     marker is not interior to a chamber). ``alpha_L`` is reported for
     n1 = n2 only.
+
+    One case has no status of its own yet: for n1 = n2 with the window
+    top equal to the marker (``chambers(TripleType(1, 1, 1, 0), 2,
+    cutoff=2)``), ``marker_status`` is "inside" while ``marker_chamber``
+    and ``flips_to_large`` are both None, as the marker is the top of
+    the last chamber, not inside it. The ROADMAP's return-value change
+    (item 4) gives it a status of its own.
     """
 
     chambers: tuple[Chamber, ...]
@@ -220,9 +231,10 @@ def _wall_plan(
     enumerate_walls documents (a given g is checked even when unused).
 
     Returns (lo, hi, alpha_L, L, drop, plan): the closed window [lo, hi],
-    alpha_L (None for n1 != n2), the lattice denominator L, the keys of
-    the range endpoints to drop (none with ``include_endpoints``), and one
-    (n1', n2', d'-range, key-range) entry per admissible rank pair, in
+    alpha_L (None for n1 != n2), the lattice denominator L, the int keys
+    of the range endpoints on the lattice, to drop (none with
+    ``include_endpoints``), and one (n1', n2', d'-range, key-range)
+    entry per admissible rank pair, in
     (n1', n2') order, where the i-th d' meets the wall alpha = k/L with k
     the i-th key. An empty default range gives an empty plan.
     """
@@ -272,13 +284,19 @@ def _wall_plan(
         step, off = n * scale, c * scale
         keys = range(dps.start * step - off, dps.stop * step - off, step)
         plan.append((n1p, n2p, dps, keys))
-    drop = []
-    if not include_endpoints:
-        # a key equals e L only when e L is an integer
-        drop.append(rng.lo * L)
-        if rng.hi is not None:
-            drop.append(rng.hi * L)
-    return lo, hi, aL, L, drop, plan
+    ends = () if include_endpoints else (rng.lo, rng.hi)
+    return lo, hi, aL, L, _keys([e for e in ends if e is not None], L), plan
+
+
+def _keys(alphas, L):
+    """The keys alpha L of those alphas that lie on the lattice (1/L)Z:
+    in lowest terms, alpha L is an integer only when its denominator
+    divides L."""
+    return [
+        a.numerator * (L // a.denominator)
+        for a in alphas
+        if not L % a.denominator
+    ]
 
 
 # about the most candidates _grouped holds in one dict
@@ -291,21 +309,21 @@ def _grouped(aL, L, drop, plan, witnesses):
     """The walls of a _wall_plan by key k = alpha L, ascending: an
     iterator of (k, witnesses, stabilized), without the keys in ``drop``.
 
-    ``witnesses`` builds one rank pair's witnesses from the iterables
-    n1', n2', d': ``zip`` gives int rows, ``partial(map, WallWitness)``
-    records. Each wall's witnesses come as a list, in (n1', n2', d')
-    order: rank pairs are planned in that order and each meets a wall
-    at most once.
+    ``witnesses`` builds witnesses from the columns n1', n2', d' (d'
+    sized; n1' and n2' may be longer): ``zip`` gives int rows,
+    ``_witness_records`` records. Each wall's witnesses come as a
+    tuple, in (n1', n2', d') order: rank pairs are planned in that order
+    and each meets a wall at most once.
     """
     # starmap keeps no window alive while it builds the next
     return chain.from_iterable(
-        starmap(
-            lambda keys, groups, stabilized: zip(
-                keys, map(list, groups), stabilized
-            ),
-            _columns(aL, L, drop, plan, witnesses),
-        )
+        starmap(zip, _columns(aL, L, drop, plan, witnesses))
     )
+
+
+def _witness_records(n1s, n2s, ds):
+    """The WallWitness records of the columns n1', n2', d'."""
+    return WallWitness._from_columns(len(ds), n1s, n2s, ds)
 
 
 def _walls(aL, L, drop, plan):
@@ -313,18 +331,19 @@ def _walls(aL, L, drop, plan):
     at a time."""
     walls = []
     for keys, groups, stabilized in _columns(
-        aL, L, drop, plan, partial(map, WallWitness)
+        aL, L, drop, plan, _witness_records
     ):
-        walls += map(
-            Wall, map(_ratio, keys, repeat(L)), map(tuple, groups), stabilized
+        walls += Wall._from_columns(
+            len(keys), map(_ratio, keys, repeat(L)), groups, stabilized
         )
     return tuple(walls)
 
 
 def _columns(aL, L, drop, plan, witnesses):
     """_grouped as columns: for each key window, in ascending order, its
-    keys, their witness groups and their stabilized flags. A group is a
-    list in a grouped window and a tuple in a translated one.
+    keys, their witness groups (tuples) and their stabilized flags. A
+    grouped window makes one ``witnesses`` call, its candidates' columns
+    joined; a translated one makes one per witness start.
 
     A plan of at most _WINDOW candidates spanning fewer than _PERIODS
     periods (below) is grouped as one window, with no slicing and no
@@ -345,8 +364,6 @@ def _columns(aL, L, drop, plan, witnesses):
     grouped in one dict (_group).
     """
     total = sum(len(dps) for _, _, dps, _ in plan)
-    # the keys to drop as ints: e L is a key only when it is an integer
-    drop = [e.numerator for e in drop if e.denominator == 1]
     # a window of _PERIODS periods holds _PERIODS keys of every rank
     # pair, so a plan with fewer candidates spans fewer periods
     if not total or (total <= _WINDOW and total < _PERIODS * len(plan)):
@@ -390,22 +407,28 @@ def _window(rising, a, b):
 
 
 def _group(aL, L, drop, plan, witnesses):
-    """The columns of one window: every candidate of ``plan`` in one
-    dict, then its keys sorted."""
-    found = defaultdict(list)
-    rep = {}  # one infinite, stateless repeat per rank value
+    """The columns of one window: the columns of every candidate of
+    ``plan`` joined for one ``witnesses`` call, grouped in one dict by
+    key, then its keys sorted."""
+    n1s, n2s, ds, ks = [], [], [], []
     for n1p, n2p, dps, keys in plan:
-        ws = witnesses(
-            rep.get(n1p) or rep.setdefault(n1p, repeat(n1p)),
-            rep.get(n2p) or rep.setdefault(n2p, repeat(n2p)),
-            dps,
-        )
-        for k, w in zip(keys, ws):
-            found[k].append(w)
+        n1s.append(repeat(n1p, len(dps)))
+        n2s.append(repeat(n2p, len(dps)))
+        ds += dps
+        ks.append(keys)
+    ws = witnesses(chain.from_iterable(n1s), chain.from_iterable(n2s), ds)
+    found = defaultdict(list)
+    # append each witness to its key's group, with no Python loop
+    groups = map(found.__getitem__, chain.from_iterable(ks))
+    _drain(map(list.append, groups, ws))
     for k in drop:
         found.pop(k, None)
     keys = sorted(found)
-    return keys, map(found.__getitem__, keys), _stabilized(keys, aL, L)
+    return (
+        keys,
+        map(tuple, map(found.__getitem__, keys)),
+        _stabilized(keys, aL, L),
+    )
 
 
 def _template(rising, first, P):
@@ -430,9 +453,10 @@ def _template(rising, first, P):
 def _translated(template, a, b, aL, L, drop, witnesses):
     """The columns of the key window [a, b), translated from a
     _template: the residue r has the keys r + j P, whose witnesses are
-    its starts with d' moved by j shifts. From a on, the residues come
-    in one cyclic order, so the i-th of them in that order has every
-    R-th key from the i-th on, and its column fills that slice."""
+    its starts with d' moved by j shifts, one ``witnesses`` call per
+    start. From a on, the residues come in one cyclic order, so the
+    i-th of them in that order has every R-th key from the i-th on, and
+    its column fills that slice."""
     P, residues, starts = template
     j = (a - residues[0]) // P
     s = bisect.bisect_left(residues, a - j * P)
@@ -502,8 +526,8 @@ def _wall_rows(
 ) -> list[tuple[int, int, list[tuple[int, int, int]], bool]]:
     """enumerate_walls in plain ints, for writing: one (num, den, rows,
     stabilized) per wall, ascending, where num/den is alpha in lowest
-    terms (den > 0) and rows are its witnesses as (n1', n2', d') tuples.
-    Builds no Fraction and no record."""
+    terms (den > 0) and rows are its witnesses as (n1', n2', d') tuples,
+    a tuple of them per wall. Builds no Fraction and no record."""
     _, _, aL, L, drop, plan = _wall_plan(T, interval, include_endpoints, g)
     return [
         (k // (c := math.gcd(k, L)), L // c, rows, stabilized)
@@ -580,7 +604,7 @@ def chambers(
         window = (rng.lo, cutoff)
     lo, top, alpha_L, L, drop, plan = _wall_plan(T, window, False, g)
     # the plan drops alpha_m and alpha_M; an equal-rank top is dropped too
-    drop.append(top * L)
+    drop += _keys([top], L)
     walls = _walls(alpha_L, L, drop, plan)
     alphas = [w.alpha for w in walls]
     bounds = [lo] + alphas + [top]
@@ -607,14 +631,17 @@ def chambers(
         status = "inside"
         if marker < top:
             marker_chamber = at
+    contains = [False] * (last + 1)
+    if marker_chamber is not None:
+        contains[marker_chamber] = True
     chamber_objs = tuple(
-        Chamber(
-            lo=bounds[i],
-            hi=bounds[i + 1],
-            contains_2g_minus_2=(marker_chamber == i),
-            is_large_chamber=i >= first_large,
+        Chamber._from_columns(
+            last + 1,
+            bounds,
+            islice(bounds, 1, None),
+            contains,
+            chain(repeat(False, first_large), repeat(True)),
         )
-        for i in range(last + 1)
     )
     flips: Optional[int] = None
     if marker_chamber is not None:

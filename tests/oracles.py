@@ -34,7 +34,11 @@ Fractions rather than one Fraction each from the gap numerator. Every
 result record has a twin here that is a plain frozen dataclass,
 generated by ``make_dataclass`` from the record's fields, as the
 library first defined them, rather than a slotted record whose
-``__init__`` writes through the slot descriptors.
+``__init__`` writes through the slot descriptors. The line-bundle Hodge
+chains that meet two necessary conditions for a stable fixed point are
+found by sweeping every degree tuple of a box and testing each
+condition as stated, in Fractions, with no use of the weight spaces
+the Morse index is computed from.
 """
 
 import functools
@@ -43,7 +47,7 @@ import math
 from collections import defaultdict
 from dataclasses import MISSING, field, fields, is_dataclass, make_dataclass
 from fractions import Fraction as F
-from itertools import repeat
+from itertools import product, repeat
 
 from triplemoduli.census import CensusReport, ClassPair, enumerate_region
 from triplemoduli.classify import (
@@ -680,3 +684,22 @@ def oracle_mw_relations(H):
         alpha_M_vs_2g2=alpha_M_vs,
         facts=tuple(facts),
     )
+
+
+def oracle_line_bundle_chains(g, lengths, degrees):
+    """The degree tuples (e_1, ..., e_m) of the line-bundle Hodge chains
+    (every rank 1), m in ``lengths`` and each e_i in ``degrees``, that
+    meet two conditions necessary for a stable fixed point of genus g:
+
+    - each Higgs field piece L_i -> L_{i+1} K is nonzero, so
+      e_{i+1} - e_i + 2g - 2 >= 0;
+    - each phi-invariant tail F_i + ... + F_m (i >= 2) is a proper
+      subbundle, so its slope is below mu(E).
+    """
+    for m in lengths:
+        for es in product(degrees, repeat=m):
+            if any(b - a + 2 * g - 2 < 0 for a, b in zip(es, es[1:])):
+                continue
+            mu = F(sum(es), m)
+            if all(F(sum(es[i:]), m - i) < mu for i in range(1, m)):
+                yield es

@@ -93,6 +93,8 @@ def test_the_collector_is_back_on_after_an_interrupt(
         assert not gc.isenabled(), "the builder runs with the collector on"
         raise KeyboardInterrupt
 
+    # a record class is also reached for its bulk constructor
+    interrupt._from_columns = interrupt
     monkeypatch.setattr(module, target, interrupt)
     builder, args = BUILDERS[name]
     gc.enable()

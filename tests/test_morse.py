@@ -1,5 +1,7 @@
 """Weight-space profiles and Morse indices of fixed-point chains."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from triplemoduli import (
     morse_index,
     uk_profile,
 )
+
+from oracles import oracle_line_bundle_chains
 
 
 def chains():
@@ -119,6 +123,36 @@ class TestMorseIndex:
     def test_length_two_examples(self):
         assert morse_index(HodgeChain((1, 2), (0, 3)), 2) == 0
         assert morse_index(HodgeChain((3, 1), (-2, 5)), 3) == 0
+
+    def test_no_longer_line_bundle_chain_meeting_the_conditions_is_a_minimum(
+        self,
+    ):
+        """The paper's minima are the chains of length 2. A line-bundle
+        chain (every rank 1) of length 3 or more that meets the two
+        necessary conditions of oracle_line_bundle_chains has Morse
+        index at least 1, so it is no local minimum: every such chain of
+        length 3 or 4 with degrees in -6..6, for g = 2, 3, 4."""
+        checked = 0
+        for g in (2, 3, 4):
+            for es in oracle_line_bundle_chains(g, (3, 4), range(-6, 7)):
+                assert morse_index(HodgeChain((1,) * len(es), es), g) >= 1, (
+                    g,
+                    es,
+                )
+                checked += 1
+        assert checked == 6418
+
+    def test_the_conditions_are_what_rules_out_the_low_chains(self):
+        """Not vacuous: in the length-3, genus-2 box, 1,014 line-bundle
+        chains have index <= 0, and each fails a condition."""
+        kept = set(oracle_line_bundle_chains(2, (3,), range(-6, 7)))
+        low = [
+            es
+            for es in itertools.product(range(-6, 7), repeat=3)
+            if morse_index(HodgeChain((1, 1, 1), es), 2) < 1
+        ]
+        assert len(kept) == 86 and len(low) == 1014
+        assert kept.isdisjoint(low)
 
     @given(chains(), st.integers(min_value=2, max_value=4))
     @settings(max_examples=200)

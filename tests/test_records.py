@@ -242,11 +242,96 @@ def test_only_the_per_call_methods_are_generated(cls):
     for name in shared:
         assert name not in vars(cls)
         assert getattr(cls, name) is vars(_Record)[name]
-    own = ["__init__"]
+    own = ["__init__", "_from_columns"]
     if hasattr(cls, "_unchecked"):
         own.append("_unchecked")
     for name in own:
         assert getattr(cls, name).__qualname__ == cls.__qualname__ + "." + name
+
+
+def test_defining_a_record_compiles_no_bulk_constructor():
+    """_from_columns is shared from the base until a class first uses
+    it, so defining a record compiles only its __init__."""
+    from triplemoduli.errors import record
+
+    @record
+    class Pair:
+        x: int
+        y: int = 0
+
+    assert "_from_columns" not in vars(Pair)
+    assert Pair._from_columns(2, [1, 2], [3, 4]) == [Pair(1, 3), Pair(2, 4)]
+    assert "_from_columns" in vars(Pair)
+    assert "_from_columns" in vars(_Record)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[c.__name__ for c in RECORDS])
+class TestBulkConstruction:
+    """cls._from_columns(n, *columns), one column per field, builds the
+    records the class builds from the same rows."""
+
+    def test_rows_match_the_class(self, cls):
+        pair = SAMPLES[cls.__name__]
+        rows = [values(rec) for rec in pair]
+        built = cls._from_columns(len(rows), *zip(*rows))
+        assert type(built) is list and len(built) == len(pair)
+        assert built[0] != built[1]
+        for bulk, rec in zip(built, pair):
+            assert type(bulk) is cls
+            assert bulk == rec and rec == bulk and not bulk != rec
+            assert repr(bulk) == repr(rec)
+            try:
+                expected = hash(rec)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    hash(bulk)
+            else:
+                assert hash(bulk) == expected
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                data = pickle.dumps(bulk, protocol)
+                assert data == pickle.dumps(rec, protocol)
+                back = pickle.loads(data)
+                assert type(back) is cls and back == rec
+            for dup in (copy.copy(bulk), copy.deepcopy(bulk)):
+                assert type(dup) is cls and dup == rec
+                assert repr(dup) == repr(rec)
+            assert dataclasses.fields(bulk) == dataclasses.fields(rec)
+            assert dataclasses.astuple(bulk) == dataclasses.astuple(rec)
+            assert dataclasses.replace(bulk) == rec
+        other = dataclasses.replace(built[0], **dict(zip(names(cls), rows[1])))
+        assert type(other) is cls and other == pair[1]
+
+    def test_frozen_on_set_and_delete(self, cls):
+        a, b = SAMPLES[cls.__name__]
+        (bulk,) = cls._from_columns(1, *zip(values(a)))
+        for name in names(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(bulk, name, getattr(b, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(bulk, name)
+        assert values(bulk) == values(a)
+
+    def test_a_short_or_missing_column_raises(self, cls):
+        rows = [values(rec) for rec in SAMPLES[cls.__name__]]
+        columns = [list(column) for column in zip(*rows)]
+        assert cls._from_columns(0, *columns) == []
+        # a column may run longer than n
+        assert cls._from_columns(1, *columns) == [cls(*rows[0])]
+        for i in range(len(columns)):
+            short = columns[:i] + [columns[i][:1]] + columns[i + 1:]
+            with pytest.raises(ValueError, match="fewer than 2"):
+                cls._from_columns(2, *short)
+        # every field needs its column, a default one too
+        with pytest.raises(TypeError):
+            cls._from_columns(2, *columns[:-1])
+
+
+def test_bulk_construction_skips_post_init():
+    """Like _unchecked, _from_columns stores the columns as they come:
+    no check and no conversion."""
+    (C,) = HodgeChain._from_columns(1, [[1]], [[2]])
+    assert C.ranks == [1]
+    assert TripleType._from_columns(1, [0], [0], [1], [1])[0].n1 == 0
 
 
 def test_wall_stabilized_defaults_to_false():

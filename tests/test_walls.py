@@ -289,7 +289,7 @@ def assert_rows_match(T, **kwargs):
     for (num, den, wits, stabilized), w in zip(rows, walls):
         assert den > 0 and math.gcd(num, den) == 1
         assert F(num, den) == w.alpha
-        assert wits == [(x.n1p, x.n2p, x.dsum) for x in w.witnesses]
+        assert list(wits) == [(x.n1p, x.n2p, x.dsum) for x in w.witnesses]
         assert stabilized == w.stabilized
 
 
@@ -376,7 +376,18 @@ def scan_inputs(T, interval=None, include_endpoints=False, g=None):
     return aL, L, drop, plan
 
 
-BUILDERS = [zip, partial(map, WallWitness)]
+# the row and record builders of the library, and records built one
+# call per witness
+BUILDERS = [zip, walls_module._witness_records, partial(map, WallWitness)]
+
+
+def grouped_as_lists(*args):
+    """walls._grouped's walls with each witness group as a list, the
+    form reference_grouped gives."""
+    return [
+        (k, list(witnesses), stabilized)
+        for k, witnesses, stabilized in walls_module._grouped(*args)
+    ]
 
 
 def scan_cases():
@@ -414,7 +425,7 @@ class TestWindowedScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(walls_module, "_WINDOW", window)
             for build in BUILDERS:
-                got = list(walls_module._grouped(*args, build))
+                got = grouped_as_lists(*args, build)
                 assert got == list(reference_grouped(*args, build))
             walls = enumerate_walls(
                 T, interval, include_endpoints=include_endpoints, g=g
@@ -474,7 +485,7 @@ class TestWindowedScan:
             for window in range(1, 10):
                 monkeypatch.setattr(walls_module, "_WINDOW", window)
                 windows.clear()
-                assert list(walls_module._grouped(*args, zip)) == expected
+                assert grouped_as_lists(*args, zip) == expected
                 parts = [sorted(candidates(cut)) for cut in windows]
                 assert sorted(c for part in parts for c in part) == whole
                 assert max(map(len, parts)) <= window + 4 * len(plan)
@@ -576,7 +587,7 @@ class TestTranslatedScan:
                 mp.setattr(walls_module, "_WINDOW", window)
             mp.setattr(walls_module, "_group", refuse_group)
             for build in BUILDERS:
-                got = list(walls_module._grouped(*args, build))
+                got = grouped_as_lists(*args, build)
                 assert got == list(reference_grouped(*args, build))
             walls = enumerate_walls(
                 T, interval, include_endpoints=include_endpoints, g=g
@@ -639,7 +650,7 @@ class TestTranslatedScan:
                 for window in (one_window, *range(1, 10)):
                     monkeypatch.setattr(walls_module, "_WINDOW", window)
                     windows.clear()
-                    assert list(walls_module._grouped(*args, zip)) == expected
+                    assert grouped_as_lists(*args, zip) == expected
                     dropped_inside += any(
                         a < k < b - 1 for a, b in windows for k in drop
                     )
@@ -666,7 +677,7 @@ class TestTranslatedScan:
             expected = list(reference_grouped(*args, zip))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(walls_module, "_group", refuse_group)
-                assert list(walls_module._grouped(*args, zip)) == expected
+                assert grouped_as_lists(*args, zip) == expected
 
 
 class TestIsCritical:
@@ -912,12 +923,18 @@ class TestRecordsAgainstPlainTwins:
 
 
 def counting_stub(cls, made):
-    """A stand-in for cls that counts its calls and builds the record."""
+    """A stand-in for cls that builds the records it is asked for and
+    counts them: one per call, and n per ``_from_columns(n, ...)``."""
 
     def stub(*args, **kwargs):
         made[cls.__name__] += 1
         return cls(*args, **kwargs)
 
+    def from_columns(n, *columns):
+        made[cls.__name__] += n
+        return cls._from_columns(n, *columns)
+
+    stub._from_columns = from_columns
     return stub
 
 
