@@ -55,11 +55,14 @@ _drain = deque(maxlen=0).extend
 
 class _Compiled:
     """A private constructor of a record class, compiled on first access
-    from ``source(cls)`` in the scope ``record`` made for the class (that
-    of its ``__init__``), then put on the class as a staticmethod in
-    place of this descriptor, as ``_TwinFields`` does. So defining a
-    record compiles none of them, and a process compiles only those it
-    calls."""
+    from the source ``source(cls)`` gives, in the scope ``record`` made
+    for the class (that of its ``__init__``), then put on the class as a
+    staticmethod in place of this descriptor, as ``_TwinFields`` does.
+    So defining a record compiles none of them, and a process compiles
+    only those it calls."""
+
+    def __init__(self, source):
+        self.source = source
 
     def __get__(self, obj, cls):
         methods = {}
@@ -70,44 +73,31 @@ class _Compiled:
         return func
 
 
-class _Unchecked(_Compiled):
-    """A checking record's ``_unchecked``, from the source ``record``
-    made for the class."""
-
-    def __init__(self, src: str):
-        self.src = src
-
-    def source(self, cls):
-        return self.src
-
-
-class _FromColumns(_Compiled):
-    """Every record's ``_from_columns(n, *columns)``, shared from
-    ``_Record``: n records made by ``object.__new__``, then each field's
-    column stored through the field's slot setter by one ``map``, which
-    a zero-length deque drains, so no Python frame runs per record."""
-
-    def source(self, cls):
-        names = cls.__match_args__
-        return (
-            "def _from_columns(_n, %s):\n"
-            " _records = list(map(_new, _repeat(_cls, _n)))\n"
-            "%s\n"
-            " if _records:\n"
-            "  _last = _records[-1]\n"
-            "  try:\n"
-            "   %s\n"
-            "  except AttributeError:\n"
-            "   raise ValueError(%r %% _n) from None\n"
-            " return _records"
-        ) % (
-            ", ".join(names),
-            "\n".join(
-                " _drain(map(_set_%s, _records, %s))" % (n, n) for n in names
-            ),
-            "".join("_last.%s," % n for n in names),
-            "a column holds fewer than %d values",
-        )
+def _from_columns_source(cls) -> str:
+    """The source of cls._from_columns(n, *columns): n records made by
+    ``object.__new__``, then each field's column stored through the
+    field's slot setter by one ``map``, which a zero-length deque
+    drains, so no Python frame runs per record."""
+    names = cls.__match_args__
+    return (
+        "def _from_columns(_n, %s):\n"
+        " _records = list(map(_new, _repeat(_cls, _n)))\n"
+        "%s\n"
+        " if _records:\n"
+        "  _last = _records[-1]\n"
+        "  try:\n"
+        "   %s\n"
+        "  except AttributeError:\n"
+        "   raise ValueError(%r %% _n) from None\n"
+        " return _records"
+    ) % (
+        ", ".join(names),
+        "\n".join(
+            " _drain(map(_set_%s, _records, %s))" % (n, n) for n in names
+        ),
+        "".join("_last.%s," % n for n in names),
+        "a column holds fewer than %d values",
+    )
 
 
 class _Record:
@@ -118,7 +108,7 @@ class _Record:
     and the pickled state is a list, as a slotted dataclass's is."""
 
     __slots__ = ()
-    _from_columns = _FromColumns()
+    _from_columns = _Compiled(_from_columns_source)
 
     def __repr__(self):
         fields = ["%s=%r" % (n, getattr(self, n)) for n in self.__match_args__]
@@ -207,7 +197,7 @@ def record(cls):
     static constructor ``_unchecked`` with the parameters of
     ``__init__``: it stores the slots and skips __post_init__, with its
     checks and conversions, at about 40% of the checked cost. It is
-    compiled on first access (``_Unchecked``), so a process that never
+    compiled on first access (``_Compiled``), so a process that never
     builds a record unchecked never compiles it. Use it only where every
     field derives from a record checked already, and name at the call
     site the check that makes it safe (``triples.dual``,
@@ -215,7 +205,7 @@ def record(cls):
 
     Every record also has the private bulk constructor
     ``_from_columns(n, *columns)``, shared from ``_Record`` and compiled
-    per class on first access (``_FromColumns``): it returns a list of n
+    per class on first access (``_Compiled``): it returns a list of n
     records, whose i-th has the i-th value of every column, one column
     per field in ``__match_args__`` order, a default field included. It
     makes the n objects with ``object.__new__`` and stores each column
@@ -249,10 +239,11 @@ def record(cls):
     }
     if "__post_init__" in ns:
         src += "\n self.__post_init__()"
-        ns["_unchecked"] = _Unchecked(
+        unchecked = (
             "def _unchecked(%s):\n self = _new(_cls)\n%s\n return self"
             % (params, stores)
         )
+        ns["_unchecked"] = _Compiled(lambda cls: unchecked)
     methods = {}
     exec(src, scope, methods)
     init = methods["__init__"]
