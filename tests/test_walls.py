@@ -939,10 +939,12 @@ def counting_stub(cls, made):
 
 
 class TestRecordsAreBuiltThroughTheirClassNames:
-    """The scan builds each record through the module-level class name.
-    The CLI's stub test (test_a_large_request_builds_no_wall_objects)
-    relies on that: a factory that bypassed the names would make it pass
-    without checking anything, and fail these instead."""
+    """The scan builds each record through the module-level class name,
+    in bulk through its ``_from_columns``, which the counting stub
+    counts per record. The CLI's stub test
+    (test_a_large_request_builds_no_wall_objects) relies on that: a
+    factory that bypassed the names would make it pass without checking
+    anything, and fail these instead."""
 
     TYPES = [
         TripleType(2, 1, 4, 1),
