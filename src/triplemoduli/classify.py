@@ -6,13 +6,17 @@ the Toledo invariant, what is known about the moduli space M(a, b) of
 polystable Higgs bundles of that type: nonemptiness, connectedness,
 smoothness and dimension of the stable locus, and rigidity at the
 extreme Toledo values. The case analysis is one ordered table of
-cases: the first case whose test holds decides, and in the interior
-case two sub-rules refine connectedness of the full space. The tests
-and sub-rules read the Toledo invariant in integers, as the numerator
-2(qa - pb) over p + q and its two flags; only the returned tau is a
-Fraction. Each definite answer carries a citation tag (a stable string
-naming the structural fact it rests on), and questions the case
-analysis does not settle are reported as "unknown" rather than guessed.
+cases, and the first case that holds decides: one integer expression
+over the Toledo flags, the numerator and p == q gives its index. In
+the interior case two sub-rules refine connectedness of the full
+space. The case choice and the sub-rules read the Toledo invariant in
+integers, as the numerator 2(qa - pb) over p + q and its two flags;
+only the returned tau is a Fraction. Each definite answer carries a
+citation tag (a stable string naming the structural fact it rests
+on), and questions the case analysis does not settle are reported as
+"unknown" rather than guessed. The few citations dicts a verdict can
+have are built once, in a module table, and every Verdict gets its
+own copy of one.
 
 Verdicts for the two associated representation varieties are derived:
 R_Gamma (the lift to the universal central extension) shares all
@@ -97,37 +101,37 @@ class Verdict:
     warnings: tuple[str, ...]
 
 
-# The cases in priority order. A row gives the name, the test on
-# (H, num, within_bound, saturated) of _toledo_ints(H), where
-# tau = num/(p + q), the four tri-state fields in Verdict order (None:
-# the sub-rules decide), whether the stable locus is smooth of the
-# expected dimension, and the citation tags in report order.
+# The cases in priority order. A row gives the name, the four
+# tri-state fields in Verdict order (None: the sub-rules decide),
+# whether the stable locus is smooth of the expected dimension, and the
+# citation tags in report order. classify picks the row by index from
+# (within_bound, num, saturated) of _toledo_ints(H), where
+# tau = num/(p + q), and p == q: the first case that holds decides.
 _CASES = (
-    ("out-of-range", lambda H, num, within, saturated: not within,
+    ("out-of-range",
      NO, NO, NO, NO, False,
      {"stable_nonempty": TAG_MILNOR_WOOD,
       "closure_of_stable_connected": TAG_MILNOR_WOOD,
       "full_space_nonempty": TAG_MILNOR_WOOD,
       "full_space_connected": TAG_MILNOR_WOOD}),
-    ("zero-toledo", lambda H, num, within, saturated: num == 0,
+    ("zero-toledo",
      UNKNOWN, UNKNOWN, YES, YES, False,
      {"full_space_nonempty": TAG_ZERO_TOLEDO,
       "full_space_connected": TAG_ZERO_TOLEDO}),
-    ("interior-toledo", lambda H, num, within, saturated: not saturated,
+    ("interior-toledo",
      YES, YES, YES, None, True,
      {"stable_nonempty": TAG_INTERIOR,
       "stable_smooth_dim": TAG_INTERIOR,
       "closure_of_stable_connected": TAG_INTERIOR,
       "full_space_nonempty": TAG_INTERIOR}),
     ("maximal-toledo-equal-ranks",
-     lambda H, num, within, saturated: H.p == H.q,
      YES, YES, YES, YES, True,
      {"stable_nonempty": TAG_EQ_RANK_MAX,
       "stable_smooth_dim": TAG_EQ_RANK_MAX,
       "closure_of_stable_connected": TAG_EQ_RANK_MAX,
       "full_space_nonempty": TAG_EQ_RANK_MAX,
       "full_space_connected": TAG_EQ_RANK_MAX}),
-    ("maximal-toledo-rigid", lambda H, num, within, saturated: True,
+    ("maximal-toledo-rigid",
      NO, NO, YES, YES, False,
      {"stable_nonempty": TAG_RIGIDITY,
       "closure_of_stable_connected": TAG_RIGIDITY,
@@ -143,9 +147,40 @@ _SUBSPACE = {
     (nonempty, conn, stable, closure, smooth): SubspaceVerdict(
         nonempty, conn, stable, closure, smooth
     )
-    for _, _, stable, closure, nonempty, connected, _, _ in _CASES
+    for _, stable, closure, nonempty, connected, _, _ in _CASES
     for conn in ((YES, UNKNOWN) if connected is None else (connected,))
     for smooth in (YES, NO, UNKNOWN)
+}
+
+
+def _cited(tags: dict, rule: Optional[str], r_smooth: str) -> dict:
+    """The citations of a verdict: the row's tags, then the sub-rule
+    that settled full-space connectedness, if any, then R_Gamma's
+    smoothness when coprimality settles it (r_smooth "yes"), then the
+    two transfer principles."""
+    citations = dict(tags)
+    if rule is not None:
+        citations["full_space_connected"] = rule
+    if r_smooth == YES:
+        citations["r_gamma.smooth_of_expected_dim"] = TAG_COPRIME
+    citations["r_gamma"] = TAG_CORRESPONDENCE
+    citations["r_pu"] = TAG_FIBRATION
+    return citations
+
+
+# Every citations dict a verdict can have, keyed by (row index, the
+# interior sub-rule's tag or None, R_Gamma's smoothness). classify
+# gives each Verdict its own copy, so a caller that edits one verdict's
+# citations changes no other verdict.
+_CITATIONS = {
+    (i, rule, r_smooth): _cited(tags, rule, r_smooth)
+    for i, (*_, connected, _, tags) in enumerate(_CASES)
+    for rule in (
+        (None, TAG_COPRIME, TAG_EQ_RANK_WINDOW)
+        if connected is None
+        else (None,)
+    )
+    for r_smooth in (YES, NO, UNKNOWN)
 }
 
 
@@ -165,18 +200,16 @@ def classify(H: HiggsType) -> Verdict:
     """
     num, n, tau_M, within, saturated = _toledo_ints(H)
     coprime = coprime_smooth(H)
-    for row in _CASES:
-        if row[1](H, num, within, saturated):
-            break
-    case, _, stable, closure, nonempty, connected, smooth, tags = row
-    citations = dict(tags)
+    # the index of the first case that holds: 0 out of range, else
+    # 1 at tau = 0, else 2 below the bound, else 3 if p = q, else 4
+    i = within * (1 + (num != 0) * (1 + saturated * (1 + (H.p != H.q))))
+    case, stable, closure, nonempty, connected, smooth, tags = _CASES[i]
+    rule = None
     if connected is None:
         if coprime:
-            connected = YES
-            citations["full_space_connected"] = TAG_COPRIME
+            connected, rule = YES, TAG_COPRIME
         elif H.p == H.q and (H.p - 1) * (2 * H.g - 2) * n < abs(num):
-            connected = YES
-            citations["full_space_connected"] = TAG_EQ_RANK_WINDOW
+            connected, rule = YES, TAG_EQ_RANK_WINDOW
         else:
             connected = UNKNOWN
 
@@ -189,9 +222,6 @@ def classify(H: HiggsType) -> Verdict:
                 "coprime type escaped the interior case: %r" % (H,)
             )
         r_smooth = YES
-        citations["r_gamma.smooth_of_expected_dim"] = TAG_COPRIME
-    citations["r_gamma"] = TAG_CORRESPONDENCE
-    citations["r_pu"] = TAG_FIBRATION
     # Only the rigid case cites a decomposition.
     rigidity_data = rigidity(H) if "rigidity_data" in tags else None
 
@@ -214,6 +244,6 @@ def classify(H: HiggsType) -> Verdict:
         rigidity_data,
         _SUBSPACE[nonempty, connected, stable, closure, r_smooth],  # r_gamma
         _SUBSPACE[nonempty, connected, stable, closure, UNKNOWN],  # r_pu
-        citations,
+        dict(_CITATIONS[i, rule, r_smooth]),  # citations, the verdict's own
         rigidity_data.warnings if rigidity_data else (),
     )

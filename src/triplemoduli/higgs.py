@@ -18,6 +18,7 @@ with p != q (rigidity), whose total dimension falls below the expected one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional
 
@@ -37,6 +38,15 @@ class HiggsType:
     g: int
 
     def __post_init__(self) -> None:
+        # one test for the common case; the checks below decide the rest
+        if (
+            type(self.p) is type(self.q) is type(self.a) is type(self.b)
+            is type(self.g) is int
+            and self.p >= 1
+            and self.q >= 1
+            and self.g >= 2
+        ):
+            return
         require_int("p", self.p, 1)
         require_int("q", self.q, 1)
         require_int("a", self.a)
@@ -163,7 +173,7 @@ def toledo(H: HiggsType) -> ToledoReport:
 
 def expected_dim(H: HiggsType) -> int:
     """Expected (smooth) moduli dimension 1 + (p+q)^2 (g-1)."""
-    return 1 + H.total_rank ** 2 * (H.g - 1)
+    return 1 + (H.p + H.q) ** 2 * (H.g - 1)
 
 
 def vanishing_pattern(H: HiggsType) -> str:
@@ -181,15 +191,22 @@ def vanishing_pattern(H: HiggsType) -> str:
     return "both_zero"
 
 
-def _minima_triple(H: HiggsType) -> tuple[str, TripleType]:
-    """Vanishing pattern and minima triple type (see minima_triple_type)."""
+def _minima_triple(H: HiggsType, num: int) -> tuple[str, TripleType]:
+    """Vanishing pattern and minima triple type (see minima_triple_type),
+    from num = 2(qa - pb) of _toledo_ints(H): the pattern is that of
+    vanishing_pattern, beta_zero iff num > 0 and both_zero iff num = 0,
+    since a/p > b/q iff qa > pb."""
     two = 2 * H.g - 2
-    pattern = vanishing_pattern(H)
     # unchecked: HiggsType.__post_init__ has checked p, q >= 1 and that
     # a, b and g are ints, so the ranks are positive and the degrees ints
-    if pattern == "beta_zero":
-        return pattern, TripleType._unchecked(H.q, H.p, H.b + H.q * two, H.a)
-    return pattern, TripleType._unchecked(H.p, H.q, H.a + H.p * two, H.b)
+    if num > 0:
+        return "beta_zero", TripleType._unchecked(
+            H.q, H.p, H.b + H.q * two, H.a
+        )
+    return (
+        "gamma_zero" if num else "both_zero",
+        TripleType._unchecked(H.p, H.q, H.a + H.p * two, H.b),
+    )
 
 
 def minima_triple_type(H: HiggsType) -> MinimaRealization:
@@ -200,7 +217,7 @@ def minima_triple_type(H: HiggsType) -> MinimaRealization:
     descriptions degenerate to the product of bundle moduli
     M(p, a) x M(q, b); the gamma_zero-form triple is reported there.
     """
-    pattern, triple = _minima_triple(H)
+    pattern, triple = _minima_triple(H, _toledo_ints(H)[0])
     return MinimaRealization(
         case_tag=pattern,
         triple=triple,
@@ -219,6 +236,25 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+# Every facts tuple of an MWReport, keyed by (p = q, then the four
+# booleans in report order): the first two facts are named alike for
+# all ranks, the last two compare the Toledo flags with alpha_M when
+# p != q and with alpha_m when p = q.
+_FACTS = {
+    (equal, *flags): tuple(
+        zip(("two_g_minus_2_ge_alpha_m", "alpha_m_equality_iff_tau_zero")
+            + last, flags)
+    )
+    for equal, last in (
+        (False, ("within_bound_iff_2g2_le_alpha_M",
+                 "saturated_iff_2g2_eq_alpha_M")),
+        (True, ("within_bound_iff_alpha_m_nonneg",
+                "saturated_iff_alpha_m_zero")),
+    )
+    for flags in itertools.product((False, True), repeat=4)
+}
+
+
 def mw_relations(H: HiggsType) -> MWReport:
     """Milnor-Wood bound restated through the minima triple's range.
 
@@ -230,39 +266,31 @@ def mw_relations(H: HiggsType) -> MWReport:
     gap = d1 n2 - d2 n1, alpha_m = gap/(n1 n2) and
     alpha_M = 2 max(n1, n2) gap/(|n1 - n2| n1 n2). Each is placed
     against 2g-2 by the sign of one unreduced cross-product, and the
-    facts compare that placement with the integer Toledo flags.
+    facts compare that placement with the integer Toledo flags. The
+    Toledo numerator num also picks the minima triple, and the facts
+    tuple comes from the module table _FACTS, so the call builds no
+    container but the returned records.
     """
     num, n, tau_M, within, saturated = _toledo_ints(H)
-    _, Tm = _minima_triple(H)
+    _, Tm = _minima_triple(H, num)
     n1, n2 = Tm.n1, Tm.n2
     nn = n1 * n2
     gap = Tm.d1 * n2 - Tm.d2 * n1
     two = 2 * H.g - 2
     # signs of 2g-2 - alpha_m and 2g-2 - alpha_M (denominators are > 0)
     vs_m = _sign(two * nn - gap)
-    facts = [
-        ("two_g_minus_2_ge_alpha_m", vs_m >= 0),
-        ("alpha_m_equality_iff_tau_zero", (vs_m == 0) == (num == 0)),
-    ]
-    alpha_M: Optional[Rational] = None
-    alpha_M_vs: Optional[str] = None
     if n1 != n2:
         top = 2 * max(n1, n2) * gap
         den = abs(n1 - n2) * nn
-        alpha_M = _ratio(top, den)
+        alpha_M: Optional[Rational] = _ratio(top, den)
         vs_M = _sign(two * den - top)
-        alpha_M_vs = _CMP[vs_M + 1]
-        facts.append(
-            ("within_bound_iff_2g2_le_alpha_M", within == (vs_M <= 0))
-        )
-        facts.append(
-            ("saturated_iff_2g2_eq_alpha_M", saturated == (vs_M == 0))
-        )
+        alpha_M_vs: Optional[str] = _CMP[vs_M + 1]
+        within_fact = within == (vs_M <= 0)
+        saturated_fact = saturated == (vs_M == 0)
     else:
-        facts.append(
-            ("within_bound_iff_alpha_m_nonneg", within == (gap >= 0))
-        )
-        facts.append(("saturated_iff_alpha_m_zero", saturated == (gap == 0)))
+        alpha_M = alpha_M_vs = None
+        within_fact = within == (gap >= 0)
+        saturated_fact = saturated == (gap == 0)
     # Positional, in field order: on CPython 3.11 the 11 keywords would
     # add about 0.5 us to the call.
     return MWReport(
@@ -276,13 +304,19 @@ def mw_relations(H: HiggsType) -> MWReport:
         two,  # two_g_minus_2
         _CMP[1 - vs_m],  # alpha_m_vs_2g2
         alpha_M_vs,  # alpha_M_vs_2g2
-        tuple(facts),
+        _FACTS[
+            n1 == n2,
+            vs_m >= 0,
+            (vs_m == 0) == (num == 0),
+            within_fact,
+            saturated_fact,
+        ],
     )
 
 
 def coprime_smooth(H: HiggsType) -> bool:
     """gcd(p+q, a+b) = 1: no strictly semistable objects exist."""
-    return math.gcd(H.total_rank, H.total_degree) == 1
+    return math.gcd(H.p + H.q, H.a + H.b) == 1
 
 
 def rigidity(H: HiggsType) -> RigidityReport:

@@ -44,6 +44,15 @@ class TripleType:
     d2: int
 
     def __post_init__(self) -> None:
+        # one test for the common case; the checks below decide the rest
+        if (
+            type(self.n1) is type(self.n2) is type(self.d1) is type(self.d2)
+            is int
+            and self.n1 >= 0
+            and self.n2 >= 0
+            and (self.n1 or self.n2)
+        ):
+            return
         for name in ("n1", "n2", "d1", "d2"):
             require_int(name, getattr(self, name))
         if self.n1 < 0 or self.n2 < 0:

@@ -24,6 +24,7 @@ from triplemoduli.errors import DomainError
 from triplemoduli.higgs import (
     HiggsType,
     _minima_triple,
+    _toledo_ints,
     minima_triple_type,
     mw_relations,
     rigidity,
@@ -87,7 +88,7 @@ def test_minima_triples_and_rigidity_factors_on_the_census():
     for p, q, g in itertools.product(range(1, 7), range(1, 7), range(2, 5)):
         for cp in enumerate_region(p, q, g).points:
             H = HiggsType(p, q, cp.a, cp.b, g)
-            _, triple = _minima_triple(H)
+            _, triple = _minima_triple(H, _toledo_ints(H)[0])
             assert_same(triple, TripleType(*values(triple)))
             assert minima_triple_type(H).triple == triple
             assert mw_relations(H).triple == triple
