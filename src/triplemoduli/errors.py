@@ -193,10 +193,13 @@ def record(cls):
     and ``hash`` take about 1 us, not 0.2.
 
     A class with a __post_init__ (``TripleType``, ``HiggsType`` and
-    ``HodgeChain``, which check their fields) also gets a private
-    static constructor ``_unchecked`` with the parameters of
+    ``HodgeChain``, which check their fields; the first two test every
+    field in one expression, exact ints within bounds, and run the
+    per-field ``require_int`` checks only when it fails) also gets a
+    private static constructor ``_unchecked`` with the parameters of
     ``__init__``: it stores the slots and skips __post_init__, with its
-    checks and conversions, at about 40% of the checked cost. It is
+    checks and conversions, at about 75% of the checked cost for a
+    ``TripleType`` (0.46 against 0.63 us). It is
     compiled on first access (``_Compiled``), so a process that never
     builds a record unchecked never compiles it. Use it only where every
     field derives from a record checked already, and name at the call

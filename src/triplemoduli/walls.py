@@ -523,7 +523,7 @@ def _wall_rows(
     interval: Optional[tuple[Rational, Rational]] = None,
     include_endpoints: bool = False,
     g: Optional[int] = None,
-) -> list[tuple[int, int, list[tuple[int, int, int]], bool]]:
+) -> list[tuple[int, int, tuple[tuple[int, int, int], ...], bool]]:
     """enumerate_walls in plain ints, for writing: one (num, den, rows,
     stabilized) per wall, ascending, where num/den is alpha in lowest
     terms (den > 0) and rows are its witnesses as (n1', n2', d') tuples,

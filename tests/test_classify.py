@@ -244,6 +244,15 @@ def criterion_10_types():
             yield HiggsType(p, q, a + step * p, b + step * q, g)
 
 
+def criterion_07_types():
+    """Every class of the census box test_criterion_07_census checks."""
+    for p in range(1, 8):
+        for q in range(1, 9 - p):
+            for g in (2, 3, 4):
+                for cp in enumerate_region(p, q, g).points:
+                    yield HiggsType(p, q, cp.a, cp.b, g)
+
+
 def census_types():
     for p, q, g in itertools.product(range(1, 7), range(1, 7), range(2, 5)):
         for cp in enumerate_region(p, q, g).points:
@@ -331,6 +340,24 @@ class TestSharedValues:
             assert again.citations is not first.citations
             assert list(again.citations.items()) == items, H
             assert repr(again) == repr(oracle_classify(H)), H
+
+    def test_no_two_census_verdicts_share_citations(self):
+        """Over the census box of criterion 07: each verdict owns its
+        citations, so clearing them changes no other verdict and no
+        later classify of the same type."""
+        types = list(criterion_07_types())
+        verdicts = [classify(H) for H in types]
+        assert len({id(v.citations) for v in verdicts}) == len(types) == 3954
+        kept = [list(v.citations.items()) for v in verdicts]
+        for H, v, items in zip(types, verdicts, kept):
+            # the verdicts cleared before this one left it alone
+            assert list(v.citations.items()) == items, H
+            assert repr(v) == repr(oracle_classify(H)), H
+            v.citations.clear()
+            again = classify(H)
+            assert list(again.citations.items()) == items, H
+            assert repr(again) == repr(oracle_classify(H)), H
+        assert all(v.citations == {} for v in verdicts)
 
     def test_shared_subspace_verdicts_equal_fresh_ones(self):
         for H in ONE_PER_CASE:

@@ -113,7 +113,7 @@ SIGNATURES = {
     "_wall_rows": "(T: 'TripleType', "
     "interval: 'Optional[tuple[Rational, Rational]]' = None, "
     "include_endpoints: 'bool' = False, g: 'Optional[int]' = None) "
-    "-> 'list[tuple[int, int, list[tuple[int, int, int]], bool]]'",
+    "-> 'list[tuple[int, int, tuple[tuple[int, int, int], ...], bool]]'",
     "enumerate_region": "(p: 'int', q: 'int', g: 'int') -> 'CensusReport'",
     "coprime_partition": "(p: 'int', q: 'int', g: 'int') "
     "-> 'CoprimePartition'",

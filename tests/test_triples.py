@@ -516,3 +516,35 @@ def test_an_integer_parameter_takes_only_int(site, value):
         call(value)
     assert str(info.value).startswith("%s must be an integer" % name)
     call(2)
+
+
+class Int(int):
+    """A non-bool int subclass, which every integer check accepts."""
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_PARAMETERS))
+def test_an_integer_parameter_takes_an_int_subclass(site):
+    call, _ = INTEGER_PARAMETERS[site]
+    assert call(Int(2)) == call(2)
+
+
+def test_the_checked_records_store_an_int_subclass_as_given():
+    """TripleType and HiggsType keep the int given, of its own type, and
+    refuse one out of bounds with the message a plain int gets."""
+    given = (Int(2), Int(0), Int(4), Int(-1))
+    T = TripleType(*given)
+    assert T == TripleType(2, 0, 4, -1)
+    assert all(x is y for x, y in zip(T.as_tuple, given))
+    given = (Int(2), Int(3), Int(-5), Int(1), Int(2))
+    H = HiggsType(*given)
+    assert H == HiggsType(2, 3, -5, 1, 2)
+    assert all(getattr(H, f) is x for f, x in zip("pqabg", given))
+    for call, message in (
+        (lambda: TripleType(Int(-1), 1, 0, 0), "ranks must be nonnegative"),
+        (lambda: TripleType(Int(0), Int(0), 0, 0), "ranks must not both"),
+        (lambda: HiggsType(Int(0), 3, 1, 1, 2), "p must be an integer >= 1"),
+        (lambda: HiggsType(2, 3, 1, 1, Int(1)), "genus must be an integer"),
+    ):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value).startswith(message)
