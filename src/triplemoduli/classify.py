@@ -29,7 +29,6 @@ subspace verdicts, so every Verdict takes them from one module table.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from .errors import record
 from .higgs import (
@@ -89,12 +88,12 @@ class Verdict:
     coprime: bool
     case: str
     stable_nonempty: str
-    stable_smooth_dim: Optional[int]
+    stable_smooth_dim: int | None
     closure_of_stable_connected: str
     full_space_nonempty: str
     full_space_connected: str
     rigid: bool
-    rigidity_data: Optional[RigidityReport]
+    rigidity_data: RigidityReport | None
     r_gamma: SubspaceVerdict
     r_pu: SubspaceVerdict
     citations: dict[str, str]
@@ -153,7 +152,7 @@ _SUBSPACE = {
 }
 
 
-def _cited(tags: dict, rule: Optional[str], r_smooth: str) -> dict:
+def _cited(tags: dict, rule: str | None, r_smooth: str) -> dict:
     """The citations of a verdict: the row's tags, then the sub-rule
     that settled full-space connectedness, if any, then R_Gamma's
     smoothness when coprimality settles it (r_smooth "yes"), then the

@@ -12,6 +12,13 @@ in a single pass; the JSON writer emits exactly the bytes of
 take report trees only: every dict key is a str, and a block (below) is
 reached through dict entries, never through a list item.
 
+One table, ``COMMANDS``, declares the subcommands: a row per subcommand
+with its help, handler and flags. ``build_parser`` adds each row's
+subparser with those flags and the --json that every row takes. A
+request names its subcommand first, so ``main`` builds the subparser
+of that row only; -h, no arguments or an unknown name build every row,
+and the help and usage errors read the same either way.
+
 Imports are deferred: each subcommand's handler imports the math
 modules it calls when it runs, and a usage error imports none. Most of
 a small request is interpreter start-up and imports, and defining the
@@ -38,7 +45,6 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 from .errors import DomainError
 from .rationals import _ratio, jsonable, parse_rat
@@ -315,22 +321,86 @@ def _cmd_classify(args) -> tuple[dict, dict, list]:
     return outputs, dict(v.citations), list(v.warnings)
 
 
-def _add_triple_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n1", type=_integer, required=True, help="rank of E1")
-    sub.add_argument("--n2", type=_integer, required=True, help="rank of E2")
-    sub.add_argument("--d1", type=_integer, required=True, help="degree of E1")
-    sub.add_argument("--d2", type=_integer, required=True, help="degree of E2")
+# Flags that several rows share: (flag, help, add_argument keywords).
+_INT = {"type": _integer}
+_RAT = {"type": _rational}
+_REQUIRED = {"type": _integer, "required": True}
+_GENUS = ("--g", "genus, >= 2", _REQUIRED)
+_TRIPLE = (
+    ("--n1", "rank of E1", _REQUIRED),
+    ("--n2", "rank of E2", _REQUIRED),
+    ("--d1", "degree of E1", _REQUIRED),
+    ("--d2", "degree of E2", _REQUIRED),
+)
+_HIGGS = (
+    ("--p", "rank of V", _REQUIRED),
+    ("--q", "rank of W", _REQUIRED),
+    ("--a", "degree of V", _REQUIRED),
+    ("--b", "degree of W", _REQUIRED),
+    _GENUS,
+)
+
+# The subcommands, in the order help lists them: name -> (help, handler,
+# *flags). Every subcommand also takes --json.
+COMMANDS = {
+    "triple": (
+        "slopes, admissible range, thresholds, dimension", _cmd_triple,
+        *_TRIPLE,
+        ("--g", "genus for dimension outputs", _INT),
+        ("--alpha", "evaluate the alpha-slope here", _RAT),
+    ),
+    "walls": (
+        "critical parameter values and their witnesses", _cmd_walls,
+        *_TRIPLE,
+        ("--interval", "closed scan window (default: the admissible range)",
+         {"nargs": 2, "type": _rational, "metavar": ("LO", "HI")}),
+        ("--include-endpoints",
+         "keep walls sitting exactly at alpha_m or alpha_M",
+         {"action": "store_true"}),
+        ("--g", "genus, sets the horizon when n1 = n2", _INT),
+        ("--alpha", "also test this value for criticality", _RAT),
+    ),
+    "chambers": (
+        "chamber decomposition of the parameter range", _cmd_chambers,
+        *_TRIPLE,
+        _GENUS,
+        ("--cutoff", "upper horizon when n1 = n2 "
+         "(default max(alpha_L, 2g-2, alpha_m) + 1)", _RAT),
+    ),
+    "higgs": (
+        "Toledo invariant, minima triple, range placement", _cmd_higgs,
+        *_HIGGS,
+    ),
+    "rigidity": (
+        "forced decomposition at maximal Toledo invariant", _cmd_rigidity,
+        *_HIGGS,
+    ),
+    "morse": (
+        "weight-space profile and Morse index of a fixed point", _cmd_morse,
+        ("--ranks", "chain ranks, comma separated, e.g. 1,1,1",
+         {"type": _int_list, "required": True}),
+        ("--degrees", "chain degrees, comma separated, e.g. 2,1,0",
+         {"type": _int_list, "required": True}),
+        _GENUS,
+    ),
+    "census": (
+        "component classes of the flat-bundle variety", _cmd_census,
+        *_HIGGS[:2],
+        _GENUS,
+        ("--a", "with --b: canonicalize this degree pair", _INT),
+        ("--b", "with --a: canonicalize this degree pair", _INT),
+    ),
+    "classify": (
+        "connectedness / smoothness / rigidity verdicts with citations",
+        _cmd_classify,
+        *_HIGGS,
+    ),
+}
 
 
-def _add_higgs_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=_integer, required=True, help="rank of V")
-    sub.add_argument("--q", type=_integer, required=True, help="rank of W")
-    sub.add_argument("--a", type=_integer, required=True, help="degree of V")
-    sub.add_argument("--b", type=_integer, required=True, help="degree of W")
-    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the subcommands ``names`` (default: every one), each
+    built from its row of ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="triplemoduli",
         description=(
@@ -339,110 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser(
-        "triple",
-        help="slopes, admissible range, thresholds, dimension",
-    )
-    _add_triple_flags(sub)
-    sub.add_argument("--g", type=_integer, help="genus for dimension outputs")
-    sub.add_argument(
-        "--alpha", type=_rational, help="evaluate the alpha-slope here"
-    )
-    sub.set_defaults(handler=_cmd_triple)
-
-    sub = subs.add_parser(
-        "walls", help="critical parameter values and their witnesses"
-    )
-    _add_triple_flags(sub)
-    sub.add_argument(
-        "--interval",
-        nargs=2,
-        type=_rational,
-        metavar=("LO", "HI"),
-        help="closed scan window (default: the admissible range)",
-    )
-    sub.add_argument(
-        "--include-endpoints",
-        action="store_true",
-        help="keep walls sitting exactly at alpha_m or alpha_M",
-    )
-    sub.add_argument(
-        "--g", type=_integer, help="genus, sets the horizon when n1 = n2"
-    )
-    sub.add_argument(
-        "--alpha", type=_rational, help="also test this value for criticality"
-    )
-    sub.set_defaults(handler=_cmd_walls)
-
-    sub = subs.add_parser(
-        "chambers", help="chamber decomposition of the parameter range"
-    )
-    _add_triple_flags(sub)
-    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
-    sub.add_argument(
-        "--cutoff",
-        type=_rational,
-        help="upper horizon when n1 = n2 (default max(alpha_L, 2g-2, alpha_m) + 1)",
-    )
-    sub.set_defaults(handler=_cmd_chambers)
-
-    sub = subs.add_parser(
-        "higgs", help="Toledo invariant, minima triple, range placement"
-    )
-    _add_higgs_flags(sub)
-    sub.set_defaults(handler=_cmd_higgs)
-
-    sub = subs.add_parser(
-        "rigidity", help="forced decomposition at maximal Toledo invariant"
-    )
-    _add_higgs_flags(sub)
-    sub.set_defaults(handler=_cmd_rigidity)
-
-    sub = subs.add_parser(
-        "morse", help="weight-space profile and Morse index of a fixed point"
-    )
-    sub.add_argument(
-        "--ranks",
-        type=_int_list,
-        required=True,
-        help="chain ranks, comma separated, e.g. 1,1,1",
-    )
-    sub.add_argument(
-        "--degrees",
-        type=_int_list,
-        required=True,
-        help="chain degrees, comma separated, e.g. 2,1,0",
-    )
-    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
-    sub.set_defaults(handler=_cmd_morse)
-
-    sub = subs.add_parser(
-        "census", help="component classes of the flat-bundle variety"
-    )
-    sub.add_argument("--p", type=_integer, required=True, help="rank of V")
-    sub.add_argument("--q", type=_integer, required=True, help="rank of W")
-    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
-    sub.add_argument(
-        "--a", type=_integer, help="with --b: canonicalize this degree pair"
-    )
-    sub.add_argument(
-        "--b", type=_integer, help="with --a: canonicalize this degree pair"
-    )
-    sub.set_defaults(handler=_cmd_census)
-
-    sub = subs.add_parser(
-        "classify",
-        help="connectedness / smoothness / rigidity verdicts with citations",
-    )
-    _add_higgs_flags(sub)
-    sub.set_defaults(handler=_cmd_classify)
-
-    for name, sp in subs.choices.items():
-        sp.add_argument(
+    if len(names) < len(COMMANDS):
+        # the top-level usage, printed on an unrecognized argument,
+        # lists every subcommand also when only some are built
+        subs.metavar = "{%s}" % ",".join(COMMANDS)
+    for name in names:
+        summary, handler, *flags = COMMANDS[name]
+        sub = subs.add_parser(name, help=summary)
+        for flag, text, kwargs in flags:
+            sub.add_argument(flag, help=text, **kwargs)
+        sub.add_argument(
             "--json", action="store_true", help="machine-readable report"
         )
-        sp._negative_number_matcher = _NEGATIVE_NUMBER
+        sub.set_defaults(handler=handler)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -618,7 +598,7 @@ def _text_walls(pad: str):
     return render
 
 
-def _write_text(value, write, pad: str, lead: Optional[str] = None) -> None:
+def _write_text(value, write, pad: str, lead: str | None = None) -> None:
     """Write ``value`` as text lines at ``pad``. A dict that is a list
     item gets ``lead`` ("<pad>- ") in front of its first line, whose own
     leading whitespace is dropped."""
@@ -662,7 +642,7 @@ def write_text(value, write) -> None:
     _write_text(value, write, "")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(argv)
         # flush inside the try, so a closed pipe is caught here
@@ -677,10 +657,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     return code
 
 
-def _run(argv: Optional[list[str]]) -> int:
-    parser = build_parser()
+def _run(argv: list[str] | None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # a request names its subcommand first, so only that row is built
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(names).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

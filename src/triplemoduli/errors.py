@@ -13,7 +13,6 @@ import sys
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional
 
 
 class DomainError(ValueError):
@@ -24,7 +23,7 @@ class DomainError(ValueError):
     """
 
 
-def require_int(name: str, value, minimum: Optional[int] = None) -> None:
+def require_int(name: str, value, minimum: int | None = None) -> None:
     """Raise DomainError unless value is an int (bools excluded) that is
     at least ``minimum`` when one is given."""
     if (
@@ -55,9 +54,9 @@ _drain = deque(maxlen=0).extend
 
 class _Compiled:
     """A private constructor of a record class, compiled on first access
-    from the source ``source(cls)`` gives, in the scope ``record`` made
-    for the class (that of its ``__init__``), then put on the class as a
-    staticmethod in place of this descriptor, as ``_TwinFields`` does.
+    from the source ``source(cls)`` gives, in the private scope
+    ``record`` made for the class (``cls._scope``), then put on the class
+    as a staticmethod in place of this descriptor, as ``_TwinFields`` does.
     So defining a record compiles none of them, and a process compiles
     only those it calls."""
 
@@ -66,7 +65,7 @@ class _Compiled:
 
     def __get__(self, obj, cls):
         methods = {}
-        exec(self.source(cls), cls.__init__.__globals__, methods)
+        exec(self.source(cls), cls._scope, methods)
         ((name, func),) = methods.items()
         func.__qualname__ = cls.__qualname__ + "." + name
         setattr(cls, name, staticmethod(func))
@@ -186,7 +185,12 @@ def record(cls):
     stores each field through its slot descriptor (about half the cost
     of a frozen dataclass's per-field ``object.__setattr__``), then
     calls __post_init__ if cls has one; its parameters and annotations
-    are the dataclass __init__'s. Every other method is written once,
+    are the dataclass __init__'s. It is compiled in the globals of
+    cls's module, so ``typing.get_type_hints`` and
+    ``inspect.signature(..., eval_str=True)`` resolve its annotations
+    as they do the class's; the slot setters it calls exist only once
+    the class does, and reach it as closure cells of a factory called
+    then. Every other method is written once,
     on ``_Record``: ``__eq__``, ``__hash__``, ``__repr__``,
     ``__getstate__``, ``__setstate__``, the frozen ``__setattr__`` and
     ``__delattr__`` and (from Python 3.13) ``__replace__``, so ``==``
@@ -231,7 +235,8 @@ def record(cls):
     params = ", ".join(
         n + "=_defaults[%r]" % n if n in defaults else n for n in names
     )
-    stores = "\n".join(" _set_%s(self, %s)" % (n, n) for n in names)
+    setters = ["_set_" + n for n in names]
+    stores = "\n".join(" %s(self, %s)" % pair for pair in zip(setters, names))
     src = "def __init__(self, %s):\n%s" % (params, stores)
     scope = {
         "__name__": cls.__module__,
@@ -247,23 +252,28 @@ def record(cls):
             % (params, stores)
         )
         ns["_unchecked"] = _Compiled(lambda cls: unchecked)
-    methods = {}
-    exec(src, scope, methods)
-    init = methods["__init__"]
-    init.__qualname__ = cls.__qualname__ + ".__init__"
-    init.__annotations__ = {**cls.__annotations__, "return": None}
+    factory = {}
+    exec(
+        "def _init(_defaults, %s):\n %s\n return __init__"
+        % (", ".join(setters), src.replace("\n", "\n ")),
+        sys.modules[cls.__module__].__dict__,
+        factory,
+    )
     ns.update(
-        __init__=init,
         __slots__=names,
         __match_args__=names,
         __qualname__=cls.__qualname__,
         __dataclass_fields__=_TwinFields(defaults),
+        _scope=scope,
     )
     new = type(cls)(cls.__name__, (_Record,), ns)
-    # the slot descriptors exist only now; the methods look them up by name
-    for name in names:
-        scope["_set_" + name] = getattr(new, name).__set__
-    scope["_cls"] = new
+    # the slot descriptors exist only now
+    slots = [getattr(new, n).__set__ for n in names]
+    scope.update(zip(setters, slots), _cls=new)
+    init = factory["_init"](defaults, *slots)
+    init.__qualname__ = cls.__qualname__ + ".__init__"
+    init.__annotations__ = {**cls.__annotations__, "return": None}
+    new.__init__ = init
     return new
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
 
 from .errors import record, require_int
 from .rationals import Rational, _ratio
@@ -88,7 +87,7 @@ class MinimaRealization:
     case_tag: str
     triple: TripleType
     alpha: Rational
-    product_factors: Optional[tuple[tuple[int, int], tuple[int, int]]]
+    product_factors: tuple[tuple[int, int], tuple[int, int]] | None
 
 
 @record
@@ -107,10 +106,10 @@ class MWReport:
     saturated: bool
     triple: TripleType
     alpha_m: Rational
-    alpha_M: Optional[Rational]
+    alpha_M: Rational | None
     two_g_minus_2: int
     alpha_m_vs_2g2: str
-    alpha_M_vs_2g2: Optional[str]
+    alpha_M_vs_2g2: str | None
     facts: tuple[tuple[str, bool], ...]
 
 
@@ -127,14 +126,14 @@ class RigidityReport:
     """
 
     applies: bool
-    reason: Optional[str]
-    factor1: Optional[HiggsType]
-    factor2_rank: Optional[int]
-    factor2_degree: Optional[int]
-    dim_sum: Optional[int]
-    dim_sum_closed_form: Optional[int]
+    reason: str | None
+    factor1: HiggsType | None
+    factor2_rank: int | None
+    factor2_degree: int | None
+    dim_sum: int | None
+    dim_sum_closed_form: int | None
     expected_dim: int
-    below_expected: Optional[bool]
+    below_expected: bool | None
     warnings: tuple[str, ...]
 
 
@@ -282,9 +281,9 @@ def mw_relations(H: HiggsType) -> MWReport:
     if n1 != n2:
         top = 2 * max(n1, n2) * gap
         den = abs(n1 - n2) * nn
-        alpha_M: Optional[Rational] = _ratio(top, den)
+        alpha_M: Rational | None = _ratio(top, den)
         vs_M = _sign(two * den - top)
-        alpha_M_vs: Optional[str] = _CMP[vs_M + 1]
+        alpha_M_vs: str | None = _CMP[vs_M + 1]
         within_fact = within == (vs_M <= 0)
         saturated_fact = saturated == (vs_M == 0)
     else:

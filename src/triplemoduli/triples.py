@@ -23,8 +23,8 @@ Violated preconditions raise :class:`~triplemoduli.errors.DomainError`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import DomainError, record, require_int, require_rational
 from .rationals import Rational, _ratio
@@ -86,9 +86,9 @@ class WitnessOutcome:
     """Evaluation of one claimed destabilizer against a triple."""
 
     witness: TripleType
-    delta: Optional[Rational]
-    satisfies: Optional[bool]
-    error: Optional[str]
+    delta: Rational | None
+    satisfies: bool | None
+    error: str | None
 
 
 @record
@@ -117,7 +117,7 @@ class AlphaInterval:
     """
 
     lo: Rational
-    hi: Optional[Rational]
+    hi: Rational | None
     empty: bool
     single_point: bool
 
@@ -137,10 +137,10 @@ class Thresholds:
     """
 
     alpha_m: Rational
-    alpha_M: Optional[Rational]
+    alpha_M: Rational | None
     alpha_0: Rational
     alpha_js: tuple[Rational, ...]
-    alpha_t: Optional[Rational]
+    alpha_t: Rational | None
     alpha_e: Rational
     alpha_L: Rational
     alpha_L_is_fallback: bool
@@ -156,7 +156,7 @@ class BaseFactor:
     """
 
     kind: str
-    rank: Optional[int]
+    rank: int | None
     degree: int
 
 
@@ -261,7 +261,7 @@ def alpha_range(T: TripleType) -> AlphaInterval:
     require_ranks(T, "alpha_range")
     n1, n2 = T.n1, T.n2
     num = T.d1 * n2 - T.d2 * n1
-    hi: Optional[Fraction] = None
+    hi: Fraction | None = None
     if n1 != n2:
         hi = _ratio(2 * max(n1, n2) * num, abs(n1 - n2) * n1 * n2)
     return AlphaInterval(
@@ -338,7 +338,7 @@ def thresholds(T: TripleType) -> Thresholds:
         _ratio(num2, n2 * (n1 - n2) + (j + 1) * n) for j in range(n2)
     )
     alpha_0 = alpha_js[0]
-    alpha_t: Optional[Fraction] = None
+    alpha_t: Fraction | None = None
     if n1 > n2:
         alpha_t = _ratio(num2 - n, n2 * (n1 - n2))
     candidates = [alpha_m, alpha_0]

@@ -48,7 +48,6 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, islice, repeat, starmap
-from typing import Optional
 
 from .errors import (
     DomainError,
@@ -151,11 +150,11 @@ class ChamberReport:
     alpha_m: Rational
     top: Rational
     top_is_alpha_M: bool
-    alpha_L: Optional[Rational]
+    alpha_L: Rational | None
     marker: Rational
     marker_status: str
-    marker_chamber: Optional[int]
-    flips_to_large: Optional[int]
+    marker_chamber: int | None
+    flips_to_large: int | None
 
 
 @record
@@ -223,10 +222,10 @@ def wall_alpha(T: TripleType, n1p: int, n2p: int, dsum: int) -> Rational:
 
 def _wall_plan(
     T: TripleType,
-    interval: Optional[tuple[Rational, Rational]],
+    interval: tuple[Rational, Rational] | None,
     include_endpoints: bool,
-    g: Optional[int],
-) -> tuple[Fraction, Optional[Fraction], Optional[Fraction], int, list, list]:
+    g: int | None,
+) -> tuple[Fraction, Fraction | None, Fraction | None, int, list, list]:
     """The one place that resolves and validates a wall scan's window, as
     enumerate_walls documents (a given g is checked even when unused).
 
@@ -494,9 +493,9 @@ def _stabilized(keys, aL, L):
 @_gc_paused
 def enumerate_walls(
     T: TripleType,
-    interval: Optional[tuple[Rational, Rational]] = None,
+    interval: tuple[Rational, Rational] | None = None,
     include_endpoints: bool = False,
-    g: Optional[int] = None,
+    g: int | None = None,
 ) -> tuple[Wall, ...]:
     """All walls inside a closed parameter window, sorted ascending.
 
@@ -520,9 +519,9 @@ def enumerate_walls(
 @_gc_paused
 def _wall_rows(
     T: TripleType,
-    interval: Optional[tuple[Rational, Rational]] = None,
+    interval: tuple[Rational, Rational] | None = None,
     include_endpoints: bool = False,
-    g: Optional[int] = None,
+    g: int | None = None,
 ) -> list[tuple[int, int, tuple[tuple[int, int, int], ...], bool]]:
     """enumerate_walls in plain ints, for writing: one (num, den, rows,
     stabilized) per wall, ascending, where num/den is alpha in lowest
@@ -570,7 +569,7 @@ def integer_genericity(T: TripleType, m: int) -> GenericityFacts:
 
 @_gc_paused
 def chambers(
-    T: TripleType, g: int, cutoff: Optional[Rational] = None
+    T: TripleType, g: int, cutoff: Rational | None = None
 ) -> ChamberReport:
     """Chamber decomposition of the admissible range, with 2g-2 located.
 
@@ -616,7 +615,7 @@ def chambers(
         first_large = min(bisect.bisect_left(bounds, alpha_L), last)
     marker = _ratio(2 * g - 2, 1)
     at = bisect.bisect_left(alphas, marker)
-    marker_chamber: Optional[int] = None
+    marker_chamber: int | None = None
     if marker < lo:
         status = "below_range"
     elif marker == lo:
@@ -643,7 +642,7 @@ def chambers(
             chain(repeat(False, first_large), repeat(True)),
         )
     )
-    flips: Optional[int] = None
+    flips: int | None = None
     if marker_chamber is not None:
         flips = max(first_large - marker_chamber, 0)
     return ChamberReport(

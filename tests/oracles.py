@@ -15,7 +15,9 @@ rather than by the closed-form column walk and floor-division shift;
 the census report (points, coprime points and lines) is also built as
 it first was, a record and a ``divmod`` per point, rather than a column
 per ``map`` with the line index stepped down it.
-The CLI report is built the way the CLI first built it, in three steps
+The CLI parser is the one first written, each subparser spelled out by
+hand rather than built from a row of the command table. The CLI report
+is built the way the CLI first built it, in three steps
 (a dict per ``Wall`` of the public ``enumerate_walls`` and per
 ``Chamber`` of the public ``chambers``, ``jsonable`` over the whole
 tree, then ``json.dumps`` or a renderer of the converted tree), rather
@@ -41,6 +43,7 @@ condition as stated, in Fractions, with no use of the weight spaces
 the Morse index is computed from.
 """
 
+import argparse
 import functools
 import json
 import math
@@ -67,7 +70,20 @@ from triplemoduli.classify import (
     SubspaceVerdict,
     Verdict,
 )
-from triplemoduli.cli import build_parser
+from triplemoduli.cli import (
+    _NEGATIVE_NUMBER,
+    _cmd_census,
+    _cmd_chambers,
+    _cmd_classify,
+    _cmd_higgs,
+    _cmd_morse,
+    _cmd_rigidity,
+    _cmd_triple,
+    _cmd_walls,
+    _int_list,
+    _integer,
+    _rational,
+)
 from triplemoduli.errors import DomainError
 from triplemoduli.higgs import (
     MinimaRealization,
@@ -353,6 +369,139 @@ def _oracle_scalar(item):
     return str(item)
 
 
+def _add_triple_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--n1", type=_integer, required=True, help="rank of E1")
+    sub.add_argument("--n2", type=_integer, required=True, help="rank of E2")
+    sub.add_argument("--d1", type=_integer, required=True, help="degree of E1")
+    sub.add_argument("--d2", type=_integer, required=True, help="degree of E2")
+
+
+def _add_higgs_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--p", type=_integer, required=True, help="rank of V")
+    sub.add_argument("--q", type=_integer, required=True, help="rank of W")
+    sub.add_argument("--a", type=_integer, required=True, help="degree of V")
+    sub.add_argument("--b", type=_integer, required=True, help="degree of W")
+    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
+
+
+def oracle_parser() -> argparse.ArgumentParser:
+    """The CLI parser as first written: each subparser spelled out by
+    hand, rather than built from a row of ``cli.COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="triplemoduli",
+        description=(
+            "Exact invariants of holomorphic-triple moduli and of "
+            "U(p,q) surface group representation spaces."
+        ),
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    sub = subs.add_parser(
+        "triple",
+        help="slopes, admissible range, thresholds, dimension",
+    )
+    _add_triple_flags(sub)
+    sub.add_argument("--g", type=_integer, help="genus for dimension outputs")
+    sub.add_argument(
+        "--alpha", type=_rational, help="evaluate the alpha-slope here"
+    )
+    sub.set_defaults(handler=_cmd_triple)
+
+    sub = subs.add_parser(
+        "walls", help="critical parameter values and their witnesses"
+    )
+    _add_triple_flags(sub)
+    sub.add_argument(
+        "--interval",
+        nargs=2,
+        type=_rational,
+        metavar=("LO", "HI"),
+        help="closed scan window (default: the admissible range)",
+    )
+    sub.add_argument(
+        "--include-endpoints",
+        action="store_true",
+        help="keep walls sitting exactly at alpha_m or alpha_M",
+    )
+    sub.add_argument(
+        "--g", type=_integer, help="genus, sets the horizon when n1 = n2"
+    )
+    sub.add_argument(
+        "--alpha", type=_rational, help="also test this value for criticality"
+    )
+    sub.set_defaults(handler=_cmd_walls)
+
+    sub = subs.add_parser(
+        "chambers", help="chamber decomposition of the parameter range"
+    )
+    _add_triple_flags(sub)
+    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
+    sub.add_argument(
+        "--cutoff",
+        type=_rational,
+        help="upper horizon when n1 = n2 (default max(alpha_L, 2g-2, alpha_m) + 1)",
+    )
+    sub.set_defaults(handler=_cmd_chambers)
+
+    sub = subs.add_parser(
+        "higgs", help="Toledo invariant, minima triple, range placement"
+    )
+    _add_higgs_flags(sub)
+    sub.set_defaults(handler=_cmd_higgs)
+
+    sub = subs.add_parser(
+        "rigidity", help="forced decomposition at maximal Toledo invariant"
+    )
+    _add_higgs_flags(sub)
+    sub.set_defaults(handler=_cmd_rigidity)
+
+    sub = subs.add_parser(
+        "morse", help="weight-space profile and Morse index of a fixed point"
+    )
+    sub.add_argument(
+        "--ranks",
+        type=_int_list,
+        required=True,
+        help="chain ranks, comma separated, e.g. 1,1,1",
+    )
+    sub.add_argument(
+        "--degrees",
+        type=_int_list,
+        required=True,
+        help="chain degrees, comma separated, e.g. 2,1,0",
+    )
+    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
+    sub.set_defaults(handler=_cmd_morse)
+
+    sub = subs.add_parser(
+        "census", help="component classes of the flat-bundle variety"
+    )
+    sub.add_argument("--p", type=_integer, required=True, help="rank of V")
+    sub.add_argument("--q", type=_integer, required=True, help="rank of W")
+    sub.add_argument("--g", type=_integer, required=True, help="genus, >= 2")
+    sub.add_argument(
+        "--a", type=_integer, help="with --b: canonicalize this degree pair"
+    )
+    sub.add_argument(
+        "--b", type=_integer, help="with --a: canonicalize this degree pair"
+    )
+    sub.set_defaults(handler=_cmd_census)
+
+    sub = subs.add_parser(
+        "classify",
+        help="connectedness / smoothness / rigidity verdicts with citations",
+    )
+    _add_higgs_flags(sub)
+    sub.set_defaults(handler=_cmd_classify)
+
+    for name, sp in subs.choices.items():
+        sp.add_argument(
+            "--json", action="store_true", help="machine-readable report"
+        )
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
+    return parser
+
+
 def oracle_report(argv):
     """stdout of a successful CLI request, built in three steps: a dict
     per wall of ``enumerate_walls`` and per chamber of ``chambers``, a
@@ -360,7 +509,7 @@ def oracle_report(argv):
     envelope, then ``json.dumps`` with ``--json`` or ``oracle_render``
     without. The lists the handler marks as blocks are all rebuilt here,
     so none of them is read."""
-    args = build_parser().parse_args(argv)
+    args = oracle_parser().parse_args(argv)
     outputs, citations, warnings = args.handler(args)
     if args.command in ("walls", "chambers"):
         T = TripleType(args.n1, args.n2, args.d1, args.d2)

@@ -15,7 +15,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from triplemoduli.cli import _Block, _integer, build_parser, main
+from triplemoduli import cli
+from triplemoduli.cli import COMMANDS, _Block, _integer, build_parser, main
+
+from oracles import oracle_parser
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
 
@@ -568,6 +571,24 @@ def test_every_list_of_int_rows_in_a_golden_report_is_a_block():
     assert blocks >= 12
 
 
+TRIPLE = ["--n1", "2", "--n2", "1", "--d1", "4", "--d2", "1"]
+# help and usage errors, which argparse prints, and the negative-token
+# spellings, which parse
+PARSER_ARGVS = [
+    ["-h"],
+    [],
+    ["nosuch"],
+    ["--bogus", "census"],
+    *([name, "-h"] for name in COMMANDS),
+    ["census", "--p", "1", "--g", "2"],
+    ["triple", *TRIPLE, "--bogus"],
+    ["triple", "--n1", "x", *TRIPLE[2:]],
+    ["triple", *TRIPLE, "--alpha", "1.5"],
+    ["walls", *TRIPLE, "--interval", "-1/2", "3"],
+    ["morse", "--ranks", "1,1", "--degrees", "-1,0", "--g", "2"],
+]
+
+
 class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
@@ -579,6 +600,35 @@ class TestParser:
             "triple", "walls", "chambers", "higgs", "rigidity",
             "morse", "census", "classify",
         }
+
+    @pytest.mark.parametrize(
+        "argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)"
+    )
+    def test_the_table_parses_as_the_hand_built_parser(
+        self, monkeypatch, capsys, argv
+    ):
+        """main, which builds only the row argv[0] names when it names
+        one, exits and prints as it does with the full table parser and
+        with the hand-built oracle parser. This stands in for help
+        goldens, whose text argparse changes between Python versions."""
+        seen = [run(capsys, *argv)]
+        for parser in (build_parser, oracle_parser):
+            monkeypatch.setattr(cli, "build_parser", lambda _, p=parser: p())
+            seen.append(run(capsys, *argv))
+        assert seen[0] == seen[1] == seen[2]
+
+    def test_a_request_builds_only_its_subparser(self, monkeypatch, capsys):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        code, _, err = run(capsys, "census", "--p", "1", "--q", "1", "--g", "2")
+        assert code == 0, err
+        assert added == ["census"]
 
 
 SUBCOMMANDS = next(a for a in build_parser()._actions if a.choices).choices

@@ -105,14 +105,14 @@ def test_the_collector_is_back_on_after_an_interrupt(
 
 SIGNATURES = {
     "enumerate_walls": "(T: 'TripleType', "
-    "interval: 'Optional[tuple[Rational, Rational]]' = None, "
-    "include_endpoints: 'bool' = False, g: 'Optional[int]' = None) "
+    "interval: 'tuple[Rational, Rational] | None' = None, "
+    "include_endpoints: 'bool' = False, g: 'int | None' = None) "
     "-> 'tuple[Wall, ...]'",
     "chambers": "(T: 'TripleType', g: 'int', "
-    "cutoff: 'Optional[Rational]' = None) -> 'ChamberReport'",
+    "cutoff: 'Rational | None' = None) -> 'ChamberReport'",
     "_wall_rows": "(T: 'TripleType', "
-    "interval: 'Optional[tuple[Rational, Rational]]' = None, "
-    "include_endpoints: 'bool' = False, g: 'Optional[int]' = None) "
+    "interval: 'tuple[Rational, Rational] | None' = None, "
+    "include_endpoints: 'bool' = False, g: 'int | None' = None) "
     "-> 'list[tuple[int, int, tuple[tuple[int, int, int], ...], bool]]'",
     "enumerate_region": "(p: 'int', q: 'int', g: 'int') -> 'CensusReport'",
     "coprime_partition": "(p: 'int', q: 'int', g: 'int') "

@@ -22,12 +22,12 @@ LOADED = (
 )
 
 
-def fresh(code: str) -> str:
-    """stdout of ``python -c code`` in a new interpreter."""
+def fresh(code: str, *flags: str) -> str:
+    """stdout of ``python *flags -c code`` in a new interpreter."""
     path = [SRC, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -71,6 +71,18 @@ REQUESTS = {
     ),
 }
 MODES = {"text": "", "json": " --json"}
+# Source that imports the CLI, or runs each request above in each mode,
+# or a usage error.
+CODES = {
+    "import": "import triplemoduli.cli",
+    **{
+        "%s-%s" % (name, mode): run_main(argv + flag, 0)
+        for name, (argv, _) in REQUESTS.items()
+        for mode, flag in MODES.items()
+    },
+    "usage-malformed": run_main("walls --n1 2 --n2 1 --d1 4 --d2 1/0", 2),
+    "usage-missing": run_main("census --p 1 --json", 2),
+}
 
 
 class TestImportSet:
@@ -93,25 +105,7 @@ class TestImportSet:
     ):
         assert loaded_after(run_main(argv + mode, code)) == modules
 
-    @pytest.mark.parametrize(
-        "code",
-        [
-            "import triplemoduli.cli",
-            *(
-                run_main(argv + mode, 0)
-                for argv, _ in REQUESTS.values()
-                for mode in MODES.values()
-            ),
-            run_main("walls --n1 2 --n2 1 --d1 4 --d2 1/0", 2),
-            run_main("census --p 1 --json", 2),
-        ],
-        ids=[
-            "import",
-            *("%s-%s" % (name, mode) for name in REQUESTS for mode in MODES),
-            "usage-malformed",
-            "usage-missing",
-        ],
-    )
+    @pytest.mark.parametrize("code", CODES.values(), ids=CODES)
     def test_no_request_loads_dataclasses_inspect_ast_or_dis(self, code):
         # records are built without dataclasses (errors.record); only
         # callers of dataclasses.fields, replace and the like load it
@@ -121,6 +115,13 @@ class TestImportSet:
             "if m in sys.modules])"
         )
         assert out.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("code", CODES.values(), ids=CODES)
+    def test_no_request_loads_typing(self, code):
+        # -S, since site start-up may import typing itself; annotations
+        # are strings, and the package spells them without typing
+        out = fresh(code + "\nimport sys\nprint('typing' in sys.modules)", "-S")
+        assert out.splitlines()[-1] == "False"
 
 
 class TestPackageNames:

@@ -12,6 +12,7 @@ import pickle
 import re
 import sys
 import textwrap
+import typing
 import weakref
 from fractions import Fraction as F
 from importlib import import_module
@@ -158,6 +159,11 @@ class TestRecordContract:
             (p.name, p.kind, p.default) for p in twin_params
         ]
         assert tuple(p.name for p in params) == names(cls)
+        # the annotations resolve in the record's module, as a plain
+        # frozen dataclass's __init__'s do
+        assert typing.get_type_hints(cls.__init__) == {
+            **typing.get_type_hints(cls), "return": type(None)
+        }
 
     def test_fields_eq_hash_and_repr(self, cls, pair):
         # fields in declaration order
